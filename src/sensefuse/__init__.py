@@ -42,7 +42,9 @@ from .analytic import (
 )
 from .optimize import (
     global_search,
+    global_search_batch,
     group_greedy,
+    group_greedy_batch,
     normalized_distortion,
     policy_error_rate,
     pure_greedy,

@@ -213,8 +213,12 @@ def link_terms(model: SystemModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     The first three accumulate the coded-set part of the hybrid reciprocal
     distortion; the last is the uncoded per-node contribution.
     """
-    gob = model.gamma_ob_array()
-    gch = model.gamma_ch_array()
+    return _link_terms_of(model.gamma_ob_array(), model.gamma_ch_array())
+
+
+def _link_terms_of(gob: np.ndarray, gch: np.ndarray):
+    """:func:`link_terms` of SNR arrays of any shape; elementwise, so a
+    stacked (instances, nodes) batch gives every row bit for bit."""
     u = 1.0 / (1.0 + gch)
     lam = (1.0 + gch + gob) * gch / ((1.0 + gch) ** 2 * gob)
     d = 1.0 / gob + 1.0 / gch + 1.0 / (gob * gch)
@@ -287,12 +291,19 @@ def hybrid_distortion(model: SystemModel, policy: CodingPolicy) -> DistortionBre
     """
     validate(model)
     check_policy(model, policy)
-    a, b, c, e = link_terms(model)
-    rho = np.array(policy.rho, dtype=bool)
+    return _hybrid_breakdown(link_terms(model), model.sigma_theta_sq, policy.rho)
+
+
+def _hybrid_breakdown(terms, sigma_theta_sq: float, rho) -> DistortionBreakdown:
+    """:func:`hybrid_distortion` from precomputed :func:`link_terms` and a
+    policy as a bit sequence.  Callers that evaluate many policies of one
+    model (the policy searches, the random-error study) go through it, so
+    their distortions equal ``hybrid_distortion`` bit for bit."""
+    a, b, c, e = terms
+    rho = np.array(rho, dtype=bool)
     coded_term = _coded_inverse_term(
         float(a[rho].sum()), float(b[rho].sum()), float(c[rho].sum()))
-    st = model.sigma_theta_sq
-    per_term = [coded_term / st] + [float(v) / st for v in e[~rho]]
+    per_term = [coded_term / sigma_theta_sq] + [float(v) / sigma_theta_sq for v in e[~rho]]
     total = 1.0 / math.fsum(per_term)
     return DistortionBreakdown(total=total, per_term=tuple(per_term))
 

@@ -45,7 +45,14 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _parse_snrs(text: str, db: bool) -> list[float]:
-    values = [float(part) for part in text.split(",") if part.strip()]
+    values = []
+    for part in text.split(","):
+        if not part.strip():
+            continue
+        try:
+            values.append(float(part))
+        except ValueError:
+            raise ValidationError(f"bad SNR value {part.strip()!r}") from None
     if db:
         values = [snr_from_db(v) for v in values]
     return values

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from . import analytic, optimize, simulate
-from .model import CodingPolicy, SystemModel, ValidationError
+from .model import SystemModel, ValidationError
 
 __all__ = [
     "ExperimentSpec",
@@ -109,6 +109,17 @@ _DEFAULT_CH_SPEC = simulate.FoldedNormalSpec(target_mean=5.0, std_dev=1.5)
 _DEFAULT_OB_SPEC = simulate.FoldedNormalSpec(target_mean=7.0, std_dev=1.5)
 
 
+def _k_range(params: dict, default_min: int, default_max: int) -> range:
+    """The node counts ``k_min..k_max`` of a K sweep."""
+    k_min = _get(params, "k_min", default_min, int)
+    k_max = _get(params, "k_max", default_max, int)
+    if not 1 <= k_min <= k_max:
+        raise ValidationError(
+            f"bad node-count range: need 1 <= k_min <= k_max, "
+            f"got k_min = {k_min}, k_max = {k_max}")
+    return range(k_min, k_max + 1)
+
+
 def _instance_specs(params: dict):
     ch = simulate.FoldedNormalSpec(
         target_mean=_get(params, "gamma_ch", _DEFAULT_CH_SPEC.target_mean, float),
@@ -124,14 +135,13 @@ def _instance_specs(params: dict):
 # ---------------------------------------------------------------------------
 
 def _fig3_d_vs_k(params: dict, seed: int):
-    k_min = _get(params, "k_min", 1, int)
-    k_max = _get(params, "k_max", 30, int)
+    ks = _k_range(params, 1, 30)
     gob = _get(params, "gamma_ob", 7.0, float)
     gch = _get(params, "gamma_ch", 5.0, float)
     gt = _get(params, "gamma_total", 5.0, float)
     st = _get(params, "sigma_theta_sq", 1.0, float)
     rows = []
-    for k in range(k_min, k_max + 1):
+    for k in ks:
         d_ct, d_ut = analytic.total_power_distortions(k, gob, gt, st)
         rows.append({
             "seed": seed, "k": k, "gamma_ob": gob, "gamma_ch": gch,
@@ -165,8 +175,7 @@ def _fig4_snr_surface(params: dict, seed: int):
 
 
 def _fig5_fading(params: dict, seed: int):
-    k_min = _get(params, "k_min", 1, int)
-    k_max = _get(params, "k_max", 30, int)
+    ks = _k_range(params, 1, 30)
     nu = _get(params, "nu", 0.9, float)
     gch = _get(params, "gamma_ch", 5.0, float)
     gob = _get(params, "gamma_ob", 7.0, float)
@@ -177,7 +186,7 @@ def _fig5_fading(params: dict, seed: int):
     ch_spec = simulate.FoldedNormalSpec(gch, sigma1)
     ob_spec = simulate.FoldedNormalSpec(gob, sigma2)
     rows = []
-    for k in range(k_min, k_max + 1):
+    for k in ks:
         homo = SystemModel.homogeneous(k, gob, gch, st)
         hetero = simulate.generate_instance(
             k, ch_spec, ob_spec, derive_seed(seed, "instance", k), st)
@@ -202,37 +211,44 @@ def _fig5_fading(params: dict, seed: int):
     return rows
 
 
-def _searches_for_instance(model, group_sizes):
-    out = {
-        "global": optimize.global_search(model),
-        "pure": optimize.pure_greedy(model),
-        "sorted": optimize.sorted_greedy(model),
-    }
-    for size in group_sizes:
-        out[f"group{size}"] = optimize.group_greedy(model, size)
+def _instances(k: int, n_sim: int, seed: int, ch_spec, ob_spec) -> list[SystemModel]:
+    """The n_sim random K-node instances of the greedy studies."""
+    if n_sim < 1:
+        raise ValidationError(f"n_sim must be >= 1, got {n_sim}")
+    return [simulate.generate_instance(k, ch_spec, ob_spec,
+                                       derive_seed(seed, "instance", k, i))
+            for i in range(n_sim)]
+
+
+def _searches(models, group_sizes) -> dict:
+    """Results of every search family over one batch of instances; the
+    pure greedy search is the group search with group size 1."""
+    out = {"global": optimize.global_search_batch(models),
+           "sorted": [optimize.sorted_greedy(m) for m in models]}
+    for size in dict.fromkeys([1, *group_sizes]):
+        out[f"group{size}"] = optimize.group_greedy_batch(models, size)
+    out["pure"] = out["group1"]
     return out
 
 
 def _fig6_hybrid(params: dict, seed: int):
-    k_min = _get(params, "k_min", 2, int)
-    k_max = _get(params, "k_max", 10, int)
+    ks = _k_range(params, 2, 10)
     n_sim = _get(params, "n_sim", 300, int)
     group_size = _get(params, "group_size", 10, int)
     ch_spec, ob_spec = _instance_specs(params)
     rows = []
-    for k in range(k_min, k_max + 1):
+    for k in ks:
+        models = _instances(k, n_sim, seed, ch_spec, ob_spec)
+        searches = _searches(models, [group_size])
         sums = {name: 0.0 for name in
                 ("opt", "coded", "uncoded", "pure", "sorted", "group")}
-        for i in range(n_sim):
-            model = simulate.generate_instance(
-                k, ch_spec, ob_spec, derive_seed(seed, "instance", k, i))
-            searches = _searches_for_instance(model, [group_size])
-            sums["opt"] += searches["global"].distortion
+        for i, model in enumerate(models):
+            sums["opt"] += searches["global"][i].distortion
             sums["coded"] += analytic.coded_hetero_distortion(model)
             sums["uncoded"] += analytic.uncoded_hetero_distortion(model)
-            sums["pure"] += searches["pure"].distortion
-            sums["sorted"] += searches["sorted"].distortion
-            sums["group"] += searches[f"group{group_size}"].distortion
+            sums["pure"] += searches["pure"][i].distortion
+            sums["sorted"] += searches["sorted"][i].distortion
+            sums["group"] += searches[f"group{group_size}"][i].distortion
         rows.append({
             "seed": seed, "k": k, "n_sim": n_sim, "group_size": group_size,
             "nd_coded": sums["coded"] / sums["opt"],
@@ -245,32 +261,21 @@ def _fig6_hybrid(params: dict, seed: int):
 
 
 def _greedy_metrics(k: int, n_sim: int, group_sizes, seed: int,
-                    ch_spec, ob_spec):
+                    ch_spec, ob_spec) -> dict:
     """Normalized distortion and policy error rate of every algorithm over
     n_sim random instances with K nodes."""
-    names = ["pure", "sorted"] + [f"group{size}" for size in group_sizes]
-    dists = {name: [] for name in names}
-    policies = {name: [] for name in names}
-    opt_dists = []
-    opt_policies = []
-    for i in range(n_sim):
-        model = simulate.generate_instance(
-            k, ch_spec, ob_spec, derive_seed(seed, "instance", k, i))
-        searches = _searches_for_instance(model, group_sizes)
-        opt_dists.append(searches["global"].distortion)
-        opt_policies.append(searches["global"].policy)
-        for name in names:
-            dists[name].append(searches[name].distortion)
-            policies[name].append(searches[name].policy)
+    searches = _searches(_instances(k, n_sim, seed, ch_spec, ob_spec), group_sizes)
+    opt = searches["global"]
+    opt_policies = [r.policy for r in opt]
     metrics = {}
-    for name in names:
+    for name in ["pure", "sorted"] + [f"group{size}" for size in group_sizes]:
         metrics[name] = {
             "normalized_distortion": optimize.normalized_distortion(
-                dists[name], opt_dists),
+                searches[name], opt),
             "policy_error_rate": optimize.policy_error_rate(
-                policies[name], opt_policies),
+                [r.policy for r in searches[name]], opt_policies),
         }
-    return metrics, opt_dists, opt_policies
+    return metrics
 
 
 def _fig7_greedy(params: dict, seed: int):
@@ -278,11 +283,10 @@ def _fig7_greedy(params: dict, seed: int):
     ch_spec, ob_spec = _instance_specs(params)
     rows = []
     if sweep == "k":
-        k_min = _get(params, "k_min", 2, int)
-        k_max = _get(params, "k_max", 12, int)
+        ks = _k_range(params, 2, 12)
         n_sim = _get(params, "n_sim", 10_000, int)
         group_sizes = _int_list(_get(params, "group_sizes", "1,10,32", str))
-        grid = [(k, n_sim) for k in range(k_min, k_max + 1)]
+        grid = [(k, n_sim) for k in ks]
     elif sweep == "l":
         k = _get(params, "k", 10, int)
         n_sim = _get(params, "n_sim", 5_000, int)
@@ -291,7 +295,7 @@ def _fig7_greedy(params: dict, seed: int):
     else:
         raise ValidationError(f"unknown sweep {sweep!r} (expected 'k' or 'l')")
     for k, n in grid:
-        metrics, _, _ = _greedy_metrics(k, n, group_sizes, seed, ch_spec, ob_spec)
+        metrics = _greedy_metrics(k, n, group_sizes, seed, ch_spec, ob_spec)
         for name, values in metrics.items():
             group_size = int(name[5:]) if name.startswith("group") else 0
             algorithm = "group" if name.startswith("group") else name
@@ -320,16 +324,16 @@ def run_random_error_study(k: int, group_sizes, n_sim: int, seed: int,
             f"random error study needs the exhaustive optimum; K <= "
             f"{optimize.GLOBAL_SEARCH_MAX_NODES} required, got {k}")
     group_sizes = _int_list(group_sizes)
-    models = [simulate.generate_instance(
-        k, ch_spec, ob_spec, derive_seed(seed, "instance", k, i))
-        for i in range(n_sim)]
-    opt = [optimize.global_search(m) for m in models]
+    models = _instances(k, n_sim, seed, ch_spec, ob_spec)
+    terms = [analytic.link_terms(m) for m in models]
+    opt = optimize.global_search_batch(models)
     opt_dists = [r.distortion for r in opt]
+    opt_bits = np.array([r.policy.rho for r in opt], dtype=bool)
     mean_opt = sum(opt_dists) / n_sim
 
     rows = []
     for size in group_sizes:
-        group = [optimize.group_greedy(m, size) for m in models]
+        group = optimize.group_greedy_batch(models, size)
         eps = optimize.policy_error_rate(
             [r.policy for r in group], [r.policy for r in opt])
         nd_group = optimize.normalized_distortion(group, opt_dists)
@@ -341,11 +345,12 @@ def run_random_error_study(k: int, group_sizes, n_sim: int, seed: int,
             prob = eps / divisor
             rng = np.random.Generator(np.random.Philox(
                 np.random.SeedSequence(derive_seed(seed, "flip", size, divisor))))
+            # one draw for all instances: the same stream as a draw per instance
+            flipped = opt_bits ^ (rng.random((n_sim, k)) < prob)
             total = 0.0
-            for model, result in zip(models, opt):
-                flips = rng.random(k) < prob
-                bits = tuple(int(b) ^ int(f) for b, f in zip(result.policy.rho, flips))
-                total += analytic.hybrid_distortion(model, CodingPolicy(bits)).total
+            for model, model_terms, bits in zip(models, terms, flipped):
+                total += analytic._hybrid_breakdown(
+                    model_terms, model.sigma_theta_sq, bits).total
             row[f"flip_prob_{label}"] = prob
             row[f"nd_flip_{label}"] = total / n_sim / mean_opt
         rows.append(row)
@@ -425,6 +430,8 @@ def _format_cell(value) -> str:
 
 
 def write_rows_csv(path, rows) -> None:
+    if not rows:
+        raise ValidationError("no rows to write: the experiment produced an empty table")
     fieldnames = list(rows[0].keys())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -2,9 +2,16 @@
 
 A policy assigns each node either the coded (1) or the uncoded (0) scheme.
 Because the hybrid reciprocal distortion is built from per-node running
-sums, every candidate expansion is evaluated in O(1); the searches below
-share one vectorized beam engine so that the pure greedy search and the
-group greedy search with group size 1 are bit-identical by construction.
+sums, every candidate expansion is evaluated in O(1).
+
+The exhaustive and the beam searches run over batches of instances:
+:func:`global_search_batch` and :func:`group_greedy_batch` take a sequence
+of models of any sizes and return one result per model, in input order,
+bit for bit equal to searching each model alone.  Models with the same
+node count are searched together on stacked ``(instances, nodes)`` arrays.
+:func:`global_search`, :func:`pure_greedy` and :func:`group_greedy` are
+batches of one, and the pure greedy search is the group search with group
+size 1, so the two are bit-identical by construction.
 
 Tie-breaking is deterministic everywhere: candidate expansions are ordered
 by (distortion, node index, coded before uncoded, parent slot); the
@@ -15,12 +22,11 @@ smallest policy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .analytic import hybrid_distortion, link_terms
+from .analytic import _hybrid_breakdown, _link_terms_of, link_terms
 from .model import (
     CodingPolicy,
     PolicySearchResult,
@@ -30,10 +36,11 @@ from .model import (
 )
 
 __all__ = [
-    "GroupState",
     "global_search",
+    "global_search_batch",
     "pure_greedy",
     "group_greedy",
+    "group_greedy_batch",
     "sorted_greedy",
     "exhaustive_group_size",
     "normalized_distortion",
@@ -44,26 +51,43 @@ GLOBAL_SEARCH_MAX_NODES = 24
 _GLOBAL_CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
-class GroupState:
-    """Snapshot of one beam iteration: up to L partial policies.
-
-    ``assign`` is (P, K) with entries -1 (unassigned), 0, 1; all rows have
-    the same number of assigned nodes and ``distortions`` is ascending.
-    """
-
-    assign: np.ndarray
-    distortions: np.ndarray
-    group_size: int
-
-
-def _refreshed_result(model: SystemModel, bits: Sequence[int],
+def _refreshed_result(terms, sigma_theta_sq: float, bits: Sequence[int],
                       visit_order: Sequence[int], evaluations: int) -> PolicySearchResult:
     policy = CodingPolicy(tuple(int(b) for b in bits))
-    distortion = hybrid_distortion(model, policy).total
+    distortion = _hybrid_breakdown(terms, sigma_theta_sq, policy.rho).total
     return PolicySearchResult(policy=policy, distortion=distortion,
                               visit_order=tuple(int(v) for v in visit_order),
                               evaluations=int(evaluations))
+
+
+def _search_by_size(models: Sequence[SystemModel], search) -> list[PolicySearchResult]:
+    """Run ``search(terms, sigma_theta_sq)`` once per node count on the
+    stacked link terms of those models.  ``search`` yields one
+    ``(bits, visit_order, evaluations)`` per instance; the results come
+    back refreshed and in input order."""
+    results: list = [None] * len(models)
+    for k in {m.n_nodes for m in models}:
+        idx = [i for i, m in enumerate(models) if m.n_nodes == k]
+        terms = _link_terms_of(np.array([models[i].gamma_ob_array() for i in idx]),
+                               np.array([models[i].gamma_ch_array() for i in idx]))
+        st = np.array([models[i].sigma_theta_sq for i in idx])
+        for j, (bits, visit, evaluations) in enumerate(search(terms, st)):
+            i = idx[j]
+            results[i] = _refreshed_result(tuple(t[j] for t in terms),
+                                           models[i].sigma_theta_sq, bits, visit,
+                                           evaluations)
+    return results
+
+
+def global_search_batch(models: Sequence[SystemModel]) -> list[PolicySearchResult]:
+    """:func:`global_search` of every model, in input order."""
+    models = [validate(m) for m in models]
+    for m in models:
+        if m.n_nodes > GLOBAL_SEARCH_MAX_NODES:
+            raise ValidationError(
+                f"global search is limited to K <= {GLOBAL_SEARCH_MAX_NODES}, "
+                f"got {m.n_nodes}")
+    return _search_by_size(models, _global_policies)
 
 
 def global_search(model: SystemModel) -> PolicySearchResult:
@@ -72,116 +96,51 @@ def global_search(model: SystemModel) -> PolicySearchResult:
     Guarded at K <= 24; ties go to the policy with more coded nodes, then
     to the lexicographically smallest bit tuple.
     """
-    validate(model)
-    k = model.n_nodes
-    if k > GLOBAL_SEARCH_MAX_NODES:
-        raise ValidationError(
-            f"global search is limited to K <= {GLOBAL_SEARCH_MAX_NODES}, got {k}")
-    a, b, c, e = link_terms(model)
-    st = model.sigma_theta_sq
+    return global_search_batch([model])[0]
+
+
+def _global_policies(terms, st):
+    a, b, c, e = terms
+    n, k = a.shape
     node_bits = np.arange(k, dtype=np.int64)
     lex_weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
-
-    best_key = None
-    best_code = -1
     total = 1 << k
+    best = [None] * n  # (distortion, preference, code) per instance
     for start in range(0, total, _GLOBAL_CHUNK):
         codes = np.arange(start, min(start + _GLOBAL_CHUNK, total), dtype=np.int64)
         bits = (codes[:, None] >> node_bits[None, :]) & 1
         mask = bits.astype(float)
-        s_a = mask @ a
-        s_b = mask @ b
-        s_c = mask @ c
-        s_e = (1.0 - mask) @ e
-        dist = st / (s_a - s_b * s_b / (1.0 + s_c) + s_e)
-        pop = bits.sum(axis=1)
-        lex = bits @ lex_weights
-        pick = np.lexsort((lex, -pop, dist))[0]
-        key = (dist[pick], -pop[pick], lex[pick])
-        if best_key is None or key < best_key:
-            best_key = key
-            best_code = int(codes[pick])
-    bits = [(best_code >> j) & 1 for j in range(k)]
-    return _refreshed_result(model, bits, visit_order=(), evaluations=total)
+        # more coded nodes first, then the lexicographically smallest policy
+        preference = ((k - bits.sum(axis=1)) << k) | (bits @ lex_weights)
+        for i in range(n):
+            # one matrix-vector product per instance: a stacked matrix product
+            # sums in another order and would move the last bits
+            s_a = mask @ a[i]
+            s_b = mask @ b[i]
+            s_c = mask @ c[i]
+            s_e = (1.0 - mask) @ e[i]
+            dist = st[i] / (s_a - s_b * s_b / (1.0 + s_c) + s_e)
+            pick = np.lexsort((preference, dist))[0]
+            key = (dist[pick], preference[pick], int(codes[pick]))
+            if best[i] is None or key < best[i]:
+                best[i] = key
+    for _, _, code in best:
+        yield [(code >> j) & 1 for j in range(k)], (), total
 
 
-def _beam_search(model: SystemModel, group_size: int) -> PolicySearchResult:
-    """Shared beam engine; group_size 1 is the pure greedy search."""
-    validate(model)
+def group_greedy_batch(models: Sequence[SystemModel],
+                       group_size: int) -> list[PolicySearchResult]:
+    """:func:`group_greedy` of every model, in input order."""
+    models = [validate(m) for m in models]
     if group_size < 1:
         raise ValidationError(f"group size must be >= 1, got {group_size}")
-    k = model.n_nodes
-    a, b, c, e = link_terms(model)
-    st = model.sigma_theta_sq
-    pow3 = 3 ** np.arange(k, dtype=object) if k > 39 else 3 ** np.arange(k, dtype=np.int64)
-
-    state = GroupState(assign=np.full((1, k), -1, dtype=np.int8),
-                       distortions=np.full(1, np.inf), group_size=group_size)
-    order = np.empty((1, 0), dtype=np.int64)
-    s_a = np.zeros(1)
-    s_b = np.zeros(1)
-    s_c = np.zeros(1)
-    s_e = np.zeros(1)
-    codes = np.zeros(1, dtype=pow3.dtype)
-    evaluations = 0
-
-    for _ in range(k):
-        assign = state.assign
-        n_part = assign.shape[0]
-        open_mask = assign < 0  # (P, K)
-        evaluations += 2 * int(open_mask.sum())
-
-        coded_term_base = s_a - s_b * s_b / (1.0 + s_c)
-        # rho = 1: coded term changes, uncoded sum unchanged
-        a1 = s_a[:, None] + a[None, :]
-        b1 = s_b[:, None] + b[None, :]
-        c1 = s_c[:, None] + c[None, :]
-        inv1 = a1 - b1 * b1 / (1.0 + c1) + s_e[:, None]
-        # rho = 0: coded term unchanged, uncoded sum grows
-        inv0 = coded_term_base[:, None] + s_e[:, None] + e[None, :]
-
-        d1 = np.where(open_mask, st / inv1, np.inf)
-        d0 = np.where(open_mask, st / inv0, np.inf)
-
-        cand_d = np.concatenate([d1.ravel(), d0.ravel()])
-        parents = np.repeat(np.arange(n_part), k)
-        nodes = np.tile(np.arange(k), n_part)
-        cand_parent = np.concatenate([parents, parents])
-        cand_node = np.concatenate([nodes, nodes])
-        cand_rho = np.concatenate([np.zeros(n_part * k, dtype=np.int8),
-                                   np.ones(n_part * k, dtype=np.int8)])
-        # rank: distortion, then node index, then coded first, then parent slot
-        rank = np.lexsort((cand_parent, cand_rho, cand_node, cand_d))
-        rank = rank[np.isfinite(cand_d[rank])]
-
-        cand_codes = codes[cand_parent[rank]] + (2 - cand_rho[rank]) * pow3[cand_node[rank]]
-        _, first = np.unique(cand_codes, return_index=True)
-        keep = rank[np.sort(first)[:group_size]]
-
-        parent = cand_parent[keep]
-        node = cand_node[keep]
-        rho = 1 - cand_rho[keep]  # cand_rho stored 0 for coded to sort coded first
-        new_assign = assign[parent].copy()
-        new_assign[np.arange(len(keep)), node] = rho
-        order = np.concatenate([order[parent], node[:, None]], axis=1)
-        add_coded = rho == 1
-        s_a = s_a[parent] + np.where(add_coded, a[node], 0.0)
-        s_b = s_b[parent] + np.where(add_coded, b[node], 0.0)
-        s_c = s_c[parent] + np.where(add_coded, c[node], 0.0)
-        s_e = s_e[parent] + np.where(add_coded, 0.0, e[node])
-        codes = codes[parent] + (1 + rho).astype(pow3.dtype) * pow3[node]
-        # cand_d[keep] is ascending because keep preserves the rank order
-        state = GroupState(assign=new_assign, distortions=cand_d[keep],
-                           group_size=group_size)
-
-    best = int(np.argmin(state.distortions))  # rows are key-sorted; first min wins
-    return _refreshed_result(model, state.assign[best], order[best], evaluations)
+    return _search_by_size(models, lambda terms, st: _beam_policies(terms, st, group_size))
 
 
 def pure_greedy(model: SystemModel) -> PolicySearchResult:
     """Grow the active set one node at a time, always taking the
     (node, scheme) pair that minimizes the sub-system hybrid distortion."""
-    return _beam_search(model, 1)
+    return group_greedy_batch([model], 1)[0]
 
 
 def group_greedy(model: SystemModel, group_size: int) -> PolicySearchResult:
@@ -189,7 +148,108 @@ def group_greedy(model: SystemModel, group_size: int) -> PolicySearchResult:
     per iteration; degrades to the pure greedy search at group size 1 and
     covers the whole policy space once the group holds every distinct
     partial (see :func:`exhaustive_group_size`)."""
-    return _beam_search(model, group_size)
+    return group_greedy_batch([model], group_size)[0]
+
+
+def _rank_in_instance(inst: np.ndarray) -> np.ndarray:
+    """Position of each entry among the entries of its instance; ``inst``
+    is ascending."""
+    return np.arange(len(inst)) - np.searchsorted(inst, inst)
+
+
+def _bit_words(n_bits: int) -> np.ndarray:
+    """(n_bits, words) table: row i is bit i of a packed row of 64-bit words."""
+    bit = np.arange(n_bits)
+    table = np.zeros((n_bits, -(-n_bits // 64)), dtype=np.uint64)
+    table[bit, bit // 64] = np.uint64(1) << (bit % 64).astype(np.uint64)
+    return table
+
+
+def _child_keys(assign, cand_inst, cand_row, cand_node, cand_coded, bit_words):
+    """Fixed-width keys of candidate children: the instance index, then the
+    child's assigned and coded node sets packed into 64-bit words."""
+    k = assign.shape[1]
+    planes = np.concatenate([assign >= 0, assign == 1], axis=1).astype(np.uint64)
+    parents = planes @ bit_words  # the bits are disjoint, so the sum packs them
+    children = (parents[cand_row] + bit_words[cand_node]
+                + bit_words[cand_node + k] * cand_coded[:, None])
+    # uint64 throughout: mixing in a signed column would promote to float64
+    return np.column_stack([cand_inst.astype(np.uint64), children])
+
+
+def _first_distinct(keys: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first row of each distinct key row."""
+    order = np.lexsort(keys.T)  # stable: equal rows keep their index order
+    ordered = keys[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return np.sort(order[first])
+
+
+def _beam_policies(terms, st, group_size: int):
+    """The beam engine over (instances, beam, nodes).
+
+    Beam rows of all instances are stacked, grouped by instance; ``inst``
+    maps each row to its instance.  Each step ranks every open expansion
+    by (instance, distortion, node, coded first, parent slot), drops
+    expansions that repeat an earlier child policy of the same instance,
+    and keeps the first ``group_size`` per instance.
+    """
+    terms = np.stack(terms)  # (4, instances, nodes): a, b, c, e
+    _, n, k = terms.shape
+    inst = np.arange(n)
+    assign = np.full((n, k), -1, dtype=np.int8)
+    order = np.empty((n, 0), dtype=np.int64)
+    # per row: sums of a, b, c over its coded nodes and of e over its uncoded ones
+    sums = np.zeros((4, n))
+    fed_by_coded = np.array([True, True, True, False])[:, None]
+    evaluations = np.zeros(n, dtype=np.int64)
+    bit_words = _bit_words(2 * k)
+
+    for step in range(k):
+        n_rows = len(inst)
+        evaluations += 2 * (k - step) * np.bincount(inst, minlength=n)
+        s_a, s_b, s_c, s_e = sums
+        row_terms = terms[:, inst]
+        # rho = 1: coded term changes, uncoded sum unchanged
+        a1, b1, c1 = sums[:3, :, None] + row_terms[:3]
+        inv1 = a1 - b1 * b1 / (1.0 + c1) + s_e[:, None]
+        # rho = 0: coded term unchanged, uncoded sum grows
+        inv0 = (s_a - s_b * s_b / (1.0 + s_c) + s_e)[:, None] + row_terms[3]
+
+        cand_d = st[inst][:, None] / np.stack([inv1, inv0])
+        cand_d[:, assign >= 0] = np.inf
+        # candidate (node, scheme, parent row) sits at index
+        # (2 node + uncoded) n_rows + row, which is the tie-break order
+        cand_d = cand_d.transpose(2, 0, 1).ravel()
+        finite = np.flatnonzero(np.isfinite(cand_d))
+        # lexsort is stable: equal (instance, distortion) keep the index order
+        rank = finite[np.lexsort((cand_d[finite], inst[finite % n_rows]))]
+        row = rank % n_rows
+        node = rank // (2 * n_rows)
+        coded = rank // n_rows % 2 == 0
+        cand_inst = inst[row]
+        if n_rows > n:  # an instance holds several partial policies
+            # a child repeats at most once per assigned node (once per parent
+            # it extends), so the first group_size * (step + 1) candidates of
+            # an instance hold its first group_size distinct children
+            head = _rank_in_instance(cand_inst) < group_size * (step + 1)
+            row, node, coded, cand_inst = row[head], node[head], coded[head], cand_inst[head]
+            first = _first_distinct(_child_keys(assign, cand_inst, row, node, coded,
+                                                bit_words))
+            row, node, coded, cand_inst = row[first], node[first], coded[first], cand_inst[first]
+        keep = _rank_in_instance(cand_inst) < group_size
+        parent, node, coded, inst = row[keep], node[keep], coded[keep], cand_inst[keep]
+        assign = assign[parent]
+        assign[np.arange(len(parent)), node] = coded
+        order = np.concatenate([order[parent], node[:, None]], axis=1)
+        sums = sums[:, parent] + np.where(fed_by_coded == coded, terms[:, inst, node], 0.0)
+
+    if not np.bincount(inst, minlength=n).all():
+        raise ValidationError("no finite candidate distortion for some instance")
+    # rows of an instance are ascending in distortion; its first row wins
+    for i, row in enumerate(np.searchsorted(inst, np.arange(n))):
+        yield assign[row], order[row], evaluations[i]
 
 
 def exhaustive_group_size(n_nodes: int) -> int:
@@ -236,7 +296,7 @@ def sorted_greedy(model: SystemModel, ranking: str = "coded") -> PolicySearchRes
             s_c += c[idx]
         else:
             s_e += e[idx]
-    return _refreshed_result(model, rho, visit, evaluations)
+    return _refreshed_result((a, b, c, e), st, rho, visit, evaluations)
 
 
 def _distortions(batch) -> np.ndarray:

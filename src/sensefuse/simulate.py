@@ -222,8 +222,9 @@ def empirical_distortion(model: SystemModel, policy: CodingPolicy,
     """
     validate(model)
     check_policy(model, policy)
-    if n_trials < 1:
-        raise ValidationError(f"n_trials must be >= 1, got {n_trials}")
+    if n_trials < 2:
+        raise ValidationError(
+            f"n_trials must be >= 2 for a standard error, got {n_trials}")
     st = model.sigma_theta_sq
     k = model.n_nodes
     weights = analytic.blue_weights(analytic.hybrid_noise_covariance(model, policy))

@@ -1,0 +1,167 @@
+"""The batch search API against per-instance calls, and the greedy-study
+tables against a recomputation from per-instance public calls."""
+
+import numpy as np
+import pytest
+
+from sensefuse import analytic as an
+from sensefuse import experiments as ex
+from sensefuse import optimize as op
+from sensefuse import simulate as sim
+from sensefuse.experiments import derive_seed
+from sensefuse.model import CodingPolicy
+
+from conftest import CH_SPEC, OB_SPEC, random_instance
+
+
+def _fields(result):
+    return result.policy, result.distortion, result.visit_order, result.evaluations
+
+
+def _assert_same(batch_results, single_results):
+    assert len(batch_results) == len(single_results)
+    for got, want in zip(batch_results, single_results):
+        assert _fields(got) == _fields(want)  # bit for bit
+
+
+def test_batch_matches_single_on_criterion_07_instances():
+    rng = np.random.default_rng(7)
+    models = []
+    for i in range(1000):
+        k = int(rng.integers(1, 11))
+        models.append(sim.generate_instance(k, CH_SPEC, OB_SPEC,
+                                            derive_seed(7, "model", i)))
+    single = {
+        "global": [op.global_search(m) for m in models],
+        "pure": [op.pure_greedy(m) for m in models],
+    }
+    batch = {
+        "global": op.global_search_batch,
+        "pure": lambda ms: op.group_greedy_batch(ms, 1),
+    }
+    for name, search in batch.items():
+        for k in range(1, 11):
+            idx = [i for i, m in enumerate(models) if m.n_nodes == k]
+            _assert_same(search([models[i] for i in idx]),
+                         [single[name][i] for i in idx])
+        # a batch mixing node counts returns its results in input order
+        _assert_same(search(models), single[name])
+
+
+def test_batch_matches_single_on_criterion_08_slice():
+    models = [sim.generate_instance(10, CH_SPEC, OB_SPEC, derive_seed(8, "inst", i))
+              for i in range(200)]
+    _assert_same(op.global_search_batch(models),
+                 [op.global_search(m) for m in models])
+    for size in (1, 2, 4, 8, 16, 32):
+        _assert_same(op.group_greedy_batch(models, size),
+                     [op.group_greedy(m, size) for m in models])
+
+
+def test_batch_matches_single_above_k_39():
+    # the child-policy keys of K=45 take two 64-bit words
+    models = [random_instance(45, seed=4500 + i) for i in range(3)]
+    _assert_same(op.group_greedy_batch(models, 16),
+                 [op.group_greedy(m, 16) for m in models])
+
+
+def test_child_keys_keep_every_bit_of_a_full_word():
+    # K=40: coding node 23 sets bit 63 of the first key word; children that
+    # differ only in its lowest bits must stay distinct
+    k = 40
+    assign = np.full((1, k), -1, dtype=np.int8)
+    assign[0, 23] = 1
+    keys = op._child_keys(assign, np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.intp),
+                          np.array([0, 1]), np.array([False, False]), op._bit_words(2 * k))
+    assert list(op._first_distinct(keys)) == [0, 1]
+
+
+def test_batch_of_nothing():
+    assert op.global_search_batch([]) == []
+    assert op.group_greedy_batch([], 3) == []
+
+
+# ---------------------------------------------------------------------------
+# study tables against per-instance recomputation
+# ---------------------------------------------------------------------------
+
+def _instances(k, n_sim, seed):
+    return [sim.generate_instance(k, CH_SPEC, OB_SPEC, derive_seed(seed, "instance", k, i))
+            for i in range(n_sim)]
+
+
+def _fig6_rows(seed, ks, n_sim, group_size):
+    rows = []
+    for k in ks:
+        sums = dict.fromkeys(("opt", "coded", "uncoded", "pure", "sorted", "group"), 0.0)
+        for model in _instances(k, n_sim, seed):
+            sums["opt"] += op.global_search(model).distortion
+            sums["coded"] += an.coded_hetero_distortion(model)
+            sums["uncoded"] += an.uncoded_hetero_distortion(model)
+            sums["pure"] += op.pure_greedy(model).distortion
+            sums["sorted"] += op.sorted_greedy(model).distortion
+            sums["group"] += op.group_greedy(model, group_size).distortion
+        rows.append({"seed": seed, "k": k, "n_sim": n_sim, "group_size": group_size,
+                     **{f"nd_{name}": sums[name] / sums["opt"]
+                        for name in ("coded", "uncoded", "pure", "sorted", "group")}})
+    return rows
+
+
+def _fig7_rows(seed, ks, n_sim, group_sizes):
+    rows = []
+    for k in ks:
+        models = _instances(k, n_sim, seed)
+        opt = [op.global_search(m) for m in models]
+        found = {("pure", 0): [op.pure_greedy(m) for m in models],
+                 ("sorted", 0): [op.sorted_greedy(m) for m in models]}
+        for size in group_sizes:
+            found[("group", size)] = [op.group_greedy(m, size) for m in models]
+        for (algorithm, size), results in found.items():
+            rows.append({
+                "seed": seed, "sweep": "k", "k": k, "n_sim": n_sim,
+                "algorithm": algorithm, "group_size": size,
+                "normalized_distortion": op.normalized_distortion(results, opt),
+                "policy_error_rate": op.policy_error_rate(
+                    [r.policy for r in results], [r.policy for r in opt]),
+            })
+    return rows
+
+
+def _fig8_rows(seed, k, n_sim, group_sizes):
+    models = _instances(k, n_sim, seed)
+    opt = [op.global_search(m) for m in models]
+    mean_opt = sum(r.distortion for r in opt) / n_sim
+    rows = []
+    for size in group_sizes:
+        group = [op.group_greedy(m, size) for m in models]
+        eps = op.policy_error_rate([r.policy for r in group], [r.policy for r in opt])
+        row = {"seed": seed, "k": k, "n_sim": n_sim, "group_size": size,
+               "policy_error_rate": eps, "nd_group": op.normalized_distortion(group, opt)}
+        for divisor, label in ((1, "full"), (2, "half"), (3, "third")):
+            rng = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(derive_seed(seed, "flip", size, divisor))))
+            total = 0.0
+            for model, result in zip(models, opt):
+                flips = rng.random(k) < eps / divisor  # one draw per instance
+                bits = tuple(b ^ int(f) for b, f in zip(result.policy.rho, flips))
+                total += an.hybrid_distortion(model, CodingPolicy(bits)).total
+            row[f"flip_prob_{label}"] = eps / divisor
+            row[f"nd_flip_{label}"] = total / n_sim / mean_opt
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("name, params, reference", [
+    ("fig6_hybrid", {"k_min": "2", "k_max": "5", "n_sim": "8", "group_size": "4"},
+     lambda seed: _fig6_rows(seed, range(2, 6), 8, 4)),
+    ("fig7_greedy", {"sweep": "k", "k_min": "3", "k_max": "7", "n_sim": "8",
+                     "group_sizes": "1,2,32"},
+     lambda seed: _fig7_rows(seed, range(3, 8), 8, (1, 2, 32))),
+    ("fig8_random_errors", {"k": "7", "n_sim": "10", "group_sizes": "1,3,16"},
+     lambda seed: _fig8_rows(seed, 7, 10, (1, 3, 16))),
+])
+def test_study_csv_matches_per_instance_recomputation(tmp_path, name, params, reference):
+    path = ex.run_experiment(ex.ExperimentSpec(name, params), seed=5,
+                             out=str(tmp_path / "batch.csv"))
+    ex.write_rows_csv(tmp_path / "reference.csv", reference(5))
+    assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()

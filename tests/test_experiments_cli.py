@@ -247,3 +247,31 @@ def test_cli_error_paths(tmp_path, capsys):
         cli_entry(["solve", "--algo", "bogus", "--gamma-ob", "1",
                    "--gamma-ch", "1"])
     assert exc.value.code == 2  # argparse usage error
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["validate", "--k", "2", "--gamma-ob", "1", "--gamma-ch", "1",
+      "--policy", "11", "--trials", "1"], "n_trials"),
+    (["eval", "--gamma-ob", "7,x", "--gamma-ch", "5,5", "--policy", "11"], "'x'"),
+    (["run", "{spec}"], "k_min"),
+])
+def test_cli_bad_input_gives_one_line_error(tmp_path, capsys, argv, needle):
+    spec = tmp_path / "empty.spec"
+    spec.write_text("experiment = fig3_d_vs_k\nk_min = 5\nk_max = 2\n")
+    rc = cli_entry([arg.format(spec=spec) for arg in argv])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert needle in err
+
+
+def test_write_rows_csv_refuses_empty_table(tmp_path):
+    with pytest.raises(ValidationError, match="no rows"):
+        ex.write_rows_csv(tmp_path / "empty.csv", [])
+    assert not (tmp_path / "empty.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["fig6_hybrid", "fig7_greedy", "fig8_random_errors"])
+def test_greedy_studies_reject_zero_instances(name):
+    with pytest.raises(ValidationError, match="n_sim"):
+        ex.run_experiment(ex.ExperimentSpec(name, {"n_sim": "0"}))
