@@ -42,7 +42,7 @@ for k, lk in enumerate(model.links):
 print("sample:")
 print(np.round(noise.T @ noise / N, 5))
 print("analytic:")
-print(np.round(an.total_noise_covariance(model).entries, 5))
+print(np.round(an.total_noise_covariance(model), 5))
 
 print()
 print("=== Hybrid distortion vs simulation ===")
@@ -60,5 +60,5 @@ print("=== BLUE weights sanity ===")
 cov = an.total_noise_covariance(model)
 weights = an.blue_weights(cov)
 print("weights:", np.round(weights, 5), " sum:", weights.sum())
-print(f"plug-in MSE {float(weights @ cov.entries @ weights):.6f} == "
+print(f"plug-in MSE {float(weights @ cov @ weights):.6f} == "
       f"BLUE distortion {an.blue_distortion(cov):.6f}")

@@ -21,7 +21,6 @@ from .model import (
 )
 from .analytic import (
     DistortionBreakdown,
-    NoiseCovariance,
     blue_distortion,
     blue_weights,
     coded_hetero_distortion,

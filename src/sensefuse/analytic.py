@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -28,7 +28,6 @@ import scipy.special
 
 from .model import (
     CodingPolicy,
-    SensorLink,
     SystemModel,
     ValidationError,
     check_policy,
@@ -37,7 +36,6 @@ from .model import (
 )
 
 __all__ = [
-    "NoiseCovariance",
     "DistortionBreakdown",
     "quantization_cross_moments",
     "total_noise_covariance",
@@ -65,27 +63,8 @@ __all__ = [
     "amplifier_gain",
     "crossover_node_count",
     "crossover_node_count_total",
-    "is_capable_node",
     "link_terms",
 ]
-
-
-@dataclass(frozen=True)
-class NoiseCovariance:
-    """Symmetric positive-definite covariance of the total noise vector."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError(f"covariance must be square, got shape {m.shape}")
-        m.flags.writeable = False
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -99,12 +78,6 @@ class DistortionBreakdown:
 
     total: float
     per_term: tuple[float, ...]
-
-
-def _as_matrix(cov) -> np.ndarray:
-    if isinstance(cov, NoiseCovariance):
-        return cov.entries
-    return np.asarray(cov, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +102,7 @@ def quantization_cross_moments(sigma_theta_sq: float, sigma_ob_sq: float,
     return sigma_ob_sq * sigma_qu_sq / denom, sigma_theta_sq * sigma_qu_sq / denom
 
 
-def total_noise_covariance(model: SystemModel) -> NoiseCovariance:
+def total_noise_covariance(model: SystemModel) -> np.ndarray:
     """Covariance of the total noise n = n_qu - n_ob of an all-coded system.
 
     Diagonal entries are sigma_ob^2 + sigma_qu^2 - 2 sigma_ob^2 sigma_qu^2 /
@@ -147,10 +120,10 @@ def total_noise_covariance(model: SystemModel) -> NoiseCovariance:
     ratio = qu / (st + ob)  # equals u_k = 1/(1+gamma_ch)
     cov = st * np.outer(ratio, ratio)
     np.fill_diagonal(cov, ob + qu - 2.0 * ob * qu / (st + ob))
-    return NoiseCovariance(cov)
+    return cov
 
 
-def hybrid_noise_covariance(model: SystemModel, policy: CodingPolicy) -> NoiseCovariance:
+def hybrid_noise_covariance(model: SystemModel, policy: CodingPolicy) -> np.ndarray:
     """Block noise covariance of a hybrid system in the original node order.
 
     Coded nodes carry the correlated total-noise block; uncoded nodes are
@@ -161,7 +134,7 @@ def hybrid_noise_covariance(model: SystemModel, policy: CodingPolicy) -> NoiseCo
     check_policy(model, policy)
     st = model.sigma_theta_sq
     n = model.n_nodes
-    full = total_noise_covariance(model).entries
+    full = total_noise_covariance(model)
     cov = np.zeros((n, n))
     coded = [k for k in range(n) if policy.rho[k] == 1]
     for i in coded:
@@ -172,7 +145,7 @@ def hybrid_noise_covariance(model: SystemModel, policy: CodingPolicy) -> NoiseCo
             g = model.links[k]
             d_k = 1.0 / g.gamma_ob + 1.0 / g.gamma_ch + 1.0 / (g.gamma_ob * g.gamma_ch)
             cov[k, k] = st * d_k
-    return NoiseCovariance(cov)
+    return cov
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +153,9 @@ def hybrid_noise_covariance(model: SystemModel, policy: CodingPolicy) -> NoiseCo
 # ---------------------------------------------------------------------------
 
 def _cho_solve_ones(cov) -> np.ndarray:
-    m = _as_matrix(cov)
+    m = np.asarray(cov, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValidationError(f"covariance must be square, got shape {m.shape}")
     ones = np.ones(m.shape[0])
     try:
         factor = scipy.linalg.cho_factor(m, lower=True)
@@ -219,14 +194,46 @@ def link_terms(model: SystemModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
 def _link_terms_of(gob: np.ndarray, gch: np.ndarray):
     """:func:`link_terms` of SNR arrays of any shape; elementwise, so a
     stacked (instances, nodes) batch gives every row bit for bit."""
+    return (*_coded_link_terms(gob, gch), 1.0 / _uncoded_noise(gob, gch))
+
+
+def _coded_link_terms(gob, gch):
+    """The coded part 1/lambda, u/lambda, u^2/lambda of :func:`link_terms`,
+    elementwise.  Yielded one at a time, so a caller that reduces each term
+    as it comes (the fading Monte Carlo, on (blocks, nodes) chunks) never
+    holds all three temporaries at once, which measurably slows it."""
     u = 1.0 / (1.0 + gch)
     lam = (1.0 + gch + gob) * gch / ((1.0 + gch) ** 2 * gob)
-    d = 1.0 / gob + 1.0 / gch + 1.0 / (gob * gch)
-    return 1.0 / lam, u / lam, u * u / lam, 1.0 / d
+    yield 1.0 / lam
+    yield u / lam
+    yield u * u / lam
 
 
-def _coded_inverse_term(a_sum: float, b_sum: float, c_sum: float) -> float:
+def _uncoded_noise(gob, gch):
+    """Normalized amplify-and-forward noise power d, elementwise on floats
+    or arrays."""
+    return 1.0 / gob + 1.0 / gch + 1.0 / (gob * gch)
+
+
+def _coded_inverse_term(a_sum, b_sum, c_sum):
+    """Reciprocal coded-set distortion (in units of 1/sigma_theta^2) from the
+    sums of 1/lambda, u/lambda and u^2/lambda over the coded nodes; the one
+    place the rank-one term is written, so every evaluator agrees bit for
+    bit.  Elementwise on floats or arrays."""
     return a_sum - b_sum * b_sum / (1.0 + c_sum)
+
+
+def _coded_distortion_rows(gob, gch, sigma_theta_sq: float):
+    """All-coded distortion of each row of SNR arrays (nodes on the last
+    axis)."""
+    return sigma_theta_sq / _coded_inverse_term(
+        *(term.sum(axis=-1) for term in _coded_link_terms(gob, gch)))
+
+
+def _uncoded_distortion_rows(gob, gch, sigma_theta_sq: float):
+    """Amplify-and-forward distortion of each row of SNR arrays (nodes on
+    the last axis)."""
+    return sigma_theta_sq / (1.0 / _uncoded_noise(gob, gch)).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +247,8 @@ def coded_hetero_distortion(model: SystemModel) -> float:
         - (sum u_k/lambda_k)^2 / (1 + sum u_k^2/lambda_k))^-1.
     """
     validate(model)
-    a, b, c, _ = link_terms(model)
-    inv = _coded_inverse_term(float(a.sum()), float(b.sum()), float(c.sum()))
-    return model.sigma_theta_sq / inv
+    return float(_coded_distortion_rows(model.gamma_ob_array(), model.gamma_ch_array(),
+                                        model.sigma_theta_sq))
 
 
 def coded_homo_distortion(n_nodes: int, gamma_ob: float, gamma_ch: float,
@@ -268,8 +274,8 @@ def coded_homo_distortion_limit(gamma_ch: float, sigma_theta_sq: float = 1.0) ->
 def uncoded_hetero_distortion(model: SystemModel) -> float:
     """Amplify-and-forward distortion: D = sigma_theta^2 (sum_k 1/d_k)^-1."""
     validate(model)
-    _, _, _, e = link_terms(model)
-    return model.sigma_theta_sq / float(e.sum())
+    return float(_uncoded_distortion_rows(model.gamma_ob_array(), model.gamma_ch_array(),
+                                          model.sigma_theta_sq))
 
 
 def uncoded_homo_distortion(n_nodes: int, gamma_ob: float, gamma_ch: float,
@@ -278,8 +284,7 @@ def uncoded_homo_distortion(n_nodes: int, gamma_ob: float, gamma_ch: float,
     d = 1/gamma_ob + 1/gamma_ch + 1/(gamma_ob gamma_ch)."""
     if n_nodes < 1:
         raise ValidationError(f"node count must be >= 1, got {n_nodes}")
-    d = 1.0 / gamma_ob + 1.0 / gamma_ch + 1.0 / (gamma_ob * gamma_ch)
-    return sigma_theta_sq * d / n_nodes
+    return sigma_theta_sq * _uncoded_noise(gamma_ob, gamma_ch) / n_nodes
 
 
 def hybrid_distortion(model: SystemModel, policy: CodingPolicy) -> DistortionBreakdown:
@@ -522,15 +527,6 @@ def coded_max_nodes(gamma_ob: float, gamma_ch: float) -> float:
         gamma_ob * gamma_ch)
 
 
-def is_capable_node(link: SensorLink, gamma_ob_threshold: float,
-                    gamma_ch_threshold: float) -> bool:
-    """Diagnostic: both SNRs exceed the supplied thresholds.
-
-    No canonical threshold values exist; callers must pick their own.
-    """
-    return link.gamma_ob > gamma_ob_threshold and link.gamma_ch > gamma_ch_threshold
-
-
 # ---------------------------------------------------------------------------
 # crossover roots in continuous node count
 # ---------------------------------------------------------------------------
@@ -539,14 +535,13 @@ def crossover_node_count(gamma_ob: float, gamma_ch: float,
                          sigma_theta_sq: float = 1.0) -> float:
     """Continuous K where the homogeneous coded and uncoded distortions
     cross (individual power constraint), found by bracketed root finding."""
+    d = _uncoded_noise(gamma_ob, gamma_ch)
 
     def delta(k: float) -> float:
-        st = sigma_theta_sq
-        coded = st / k * (gamma_ch / ((1.0 + gamma_ch) * gamma_ob)
-                          + (k + gamma_ch) / (1.0 + gamma_ch) ** 2)
-        uncoded = st / k * (1.0 / gamma_ob + 1.0 / gamma_ch
-                            + 1.0 / (gamma_ob * gamma_ch))
-        return coded - uncoded
+        # (st/k) d, not uncoded_homo_distortion's (st d)/k, which rounds
+        # differently and moves the roots
+        uncoded = sigma_theta_sq / k * d
+        return coded_homo_distortion(k, gamma_ob, gamma_ch, sigma_theta_sq) - uncoded
 
     lo, hi = 1.0, 2.0
     while delta(hi) < 0:

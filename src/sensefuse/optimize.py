@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import _hybrid_breakdown, _link_terms_of, link_terms
+from .analytic import _coded_inverse_term, _hybrid_breakdown, _link_terms_of, link_terms
 from .model import (
     CodingPolicy,
     PolicySearchResult,
@@ -119,7 +119,7 @@ def _global_policies(terms, st):
             s_b = mask @ b[i]
             s_c = mask @ c[i]
             s_e = (1.0 - mask) @ e[i]
-            dist = st[i] / (s_a - s_b * s_b / (1.0 + s_c) + s_e)
+            dist = st[i] / (_coded_inverse_term(s_a, s_b, s_c) + s_e)
             pick = np.lexsort((preference, dist))[0]
             key = (dist[pick], preference[pick], int(codes[pick]))
             if best[i] is None or key < best[i]:
@@ -212,10 +212,9 @@ def _beam_policies(terms, st, group_size: int):
         s_a, s_b, s_c, s_e = sums
         row_terms = terms[:, inst]
         # rho = 1: coded term changes, uncoded sum unchanged
-        a1, b1, c1 = sums[:3, :, None] + row_terms[:3]
-        inv1 = a1 - b1 * b1 / (1.0 + c1) + s_e[:, None]
+        inv1 = _coded_inverse_term(*(sums[:3, :, None] + row_terms[:3])) + s_e[:, None]
         # rho = 0: coded term unchanged, uncoded sum grows
-        inv0 = (s_a - s_b * s_b / (1.0 + s_c) + s_e)[:, None] + row_terms[3]
+        inv0 = (_coded_inverse_term(s_a, s_b, s_c) + s_e)[:, None] + row_terms[3]
 
         cand_d = st[inst][:, None] / np.stack([inv1, inv0])
         cand_d[:, assign >= 0] = np.inf
@@ -274,7 +273,7 @@ def sorted_greedy(model: SystemModel, ranking: str = "coded") -> PolicySearchRes
     a, b, c, e = link_terms(model)
     st = model.sigma_theta_sq
     if ranking == "coded":
-        single = st / (a - b * b / (1.0 + c))
+        single = st / _coded_inverse_term(a, b, c)
     else:
         single = st / e
     evaluations = k
@@ -287,8 +286,8 @@ def sorted_greedy(model: SystemModel, ranking: str = "coded") -> PolicySearchRes
     s_a, s_b, s_c, s_e = a[first], b[first], c[first], 0.0
     for idx in visit[1:]:
         evaluations += 2
-        inv1 = (s_a + a[idx]) - (s_b + b[idx]) ** 2 / (1.0 + s_c + c[idx]) + s_e
-        inv0 = s_a - s_b * s_b / (1.0 + s_c) + s_e + e[idx]
+        inv1 = _coded_inverse_term(s_a + a[idx], s_b + b[idx], s_c + c[idx]) + s_e
+        inv0 = _coded_inverse_term(s_a, s_b, s_c) + s_e + e[idx]
         if st / inv1 <= st / inv0:  # tie goes to the coded scheme
             rho[idx] = 1
             s_a += a[idx]

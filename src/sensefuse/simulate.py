@@ -253,23 +253,6 @@ def empirical_distortion(model: SystemModel, policy: CodingPolicy,
     return _batch_stats(n_trials, total, total_sq, seed)
 
 
-def _instant_coded_distortion(gob: np.ndarray, gch: np.ndarray,
-                              sigma_theta_sq: float) -> np.ndarray:
-    """Rowwise all-coded distortion for (blocks, nodes) SNR arrays."""
-    u = 1.0 / (1.0 + gch)
-    lam = (1.0 + gch + gob) * gch / ((1.0 + gch) ** 2 * gob)
-    s_a = (1.0 / lam).sum(axis=1)
-    s_b = (u / lam).sum(axis=1)
-    s_c = (u * u / lam).sum(axis=1)
-    return sigma_theta_sq / (s_a - s_b * s_b / (1.0 + s_c))
-
-
-def _instant_uncoded_distortion(gob: np.ndarray, gch: np.ndarray,
-                                sigma_theta_sq: float) -> np.ndarray:
-    d = 1.0 / gob + 1.0 / gch + 1.0 / (gob * gch)
-    return sigma_theta_sq / (1.0 / d).sum(axis=1)
-
-
 def fading_empirical_distortion(model: SystemModel, nu: float, n_blocks: int,
                                 seed: int, scheme: str = "coded",
                                 shared_gain: bool = False) -> TrialBatchStats:
@@ -296,7 +279,8 @@ def fading_empirical_distortion(model: SystemModel, nu: float, n_blocks: int,
         raise ValidationError(f"n_blocks must be >= 1, got {n_blocks}")
     gob = model.gamma_ob_array()
     gch = model.gamma_ch_array()
-    st = model.sigma_theta_sq
+    instant = (analytic._coded_distortion_rows if scheme == "coded"
+               else analytic._uncoded_distortion_rows)
 
     values = np.empty(n_blocks)
     pos = 0
@@ -305,12 +289,8 @@ def fading_empirical_distortion(model: SystemModel, nu: float, n_blocks: int,
             h = -nu * np.log1p(-rng.random((size, 1)))
         else:
             h = -nu * np.log1p(-rng.random((size, model.n_nodes)))
-        geff = h * gch[None, :]
-        gob_rows = np.broadcast_to(gob[None, :], geff.shape)
-        if scheme == "coded":
-            values[pos:pos + size] = _instant_coded_distortion(gob_rows, geff, st)
-        else:
-            values[pos:pos + size] = _instant_uncoded_distortion(gob_rows, geff, st)
+        # one row of faded channel SNRs per block; the observation SNRs broadcast
+        values[pos:pos + size] = instant(gob, h * gch[None, :], model.sigma_theta_sq)
         pos += size
 
     total = float(values.sum())

@@ -51,7 +51,7 @@ def test_cross_moments_against_test_channel_sampler():
 
 def test_total_noise_covariance_two_node_example():
     m = SystemModel.homogeneous(2, 1.0, 1.0)
-    np.testing.assert_allclose(an.total_noise_covariance(m).entries,
+    np.testing.assert_allclose(an.total_noise_covariance(m),
                                [[1.0, 0.25], [0.25, 1.0]], rtol=1e-15)
 
 
@@ -59,13 +59,13 @@ def test_total_noise_covariance_single_node_entry():
     m = SystemModel(1.0, (SensorLink(7.0, 5.0),))
     ob, qu = 1.0 / 7.0, (1.0 + 1.0 / 7.0) / 6.0
     want = ob + qu - 2.0 * ob * qu / (1.0 + ob)
-    assert an.total_noise_covariance(m).entries[0, 0] == pytest.approx(want, rel=1e-14)
+    assert an.total_noise_covariance(m)[0, 0] == pytest.approx(want, rel=1e-14)
 
 
 def test_total_noise_covariance_positive_definite():
     for i in range(40):
         m = random_instance(int(np.random.default_rng(i).integers(1, 9)), seed=50 + i)
-        eigs = np.linalg.eigvalsh(an.total_noise_covariance(m).entries)
+        eigs = np.linalg.eigvalsh(an.total_noise_covariance(m))
         assert eigs.min() > 0
 
 
@@ -80,7 +80,7 @@ def test_total_noise_covariance_matches_sampled_noise():
     for k, link in enumerate(m.links):
         x = sim.sample_coded_recovery(theta, link, st, rng)
         noise[:, k] = theta - x  # n_qu - n_ob
-    want = an.total_noise_covariance(m).entries
+    want = an.total_noise_covariance(m)
     emp = noise.T @ noise / n
     var = np.outer(noise.var(axis=0), noise.var(axis=0))
     se = np.sqrt((var + want ** 2) / n)
@@ -109,6 +109,14 @@ def test_blue_distortion_rejects_indefinite():
         an.blue_distortion(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+def test_blue_rejects_non_square_covariance():
+    for bad in (np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2))):
+        with pytest.raises(ValidationError, match="square"):
+            an.blue_distortion(bad)
+        with pytest.raises(ValidationError, match="square"):
+            an.blue_weights(bad)
+
+
 def test_blue_weights_identity_and_homogeneous():
     np.testing.assert_allclose(an.blue_weights(np.eye(4)), np.full(4, 0.25),
                                rtol=1e-14)
@@ -122,7 +130,7 @@ def test_blue_weights_plug_in_identity():
     m = random_instance(3, seed=21)
     cov = an.total_noise_covariance(m)
     f = an.blue_weights(cov)
-    plug_in = float(f @ cov.entries @ f)
+    plug_in = float(f @ cov @ f)
     assert plug_in == pytest.approx(an.blue_distortion(cov), rel=1e-12)
 
 
@@ -462,12 +470,6 @@ def test_coded_max_nodes_example():
 def test_crossover_node_count_matches_closed_form():
     root = an.crossover_node_count(7.0, 5.0)
     assert root == pytest.approx(an.coded_max_nodes(7.0, 5.0), abs=1e-6)
-
-
-def test_is_capable_node():
-    link = SensorLink(10.0, 8.0)
-    assert an.is_capable_node(link, 5.0, 5.0)
-    assert not an.is_capable_node(link, 5.0, 9.0)
 
 
 # ---------------------------------------------------------------------------

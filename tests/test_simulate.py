@@ -157,6 +157,31 @@ def test_fading_shared_gain_matches_closed_form():
     assert stats.converged
 
 
+@pytest.mark.parametrize("scheme, closed_form", [
+    ("coded", an.coded_hetero_distortion),
+    ("uncoded", an.uncoded_hetero_distortion),
+])
+@pytest.mark.parametrize("shared_gain", [False, True])
+def test_fading_evaluates_the_closed_forms_exactly(scheme, closed_form, shared_gain):
+    # fewer than 8 blocks: numpy sums them in order, so the sample mean must
+    # equal the mean of the closed form over the faded models bit for bit
+    base = random_instance(6, seed=3)
+    m = SystemModel.from_snrs(base.gamma_ob_array(), base.gamma_ch_array(),
+                              sigma_theta_sq=2.5)
+    nu, n_blocks = 0.9, 7
+    for seed in range(10):
+        stats = sim.fading_empirical_distortion(m, nu, n_blocks, seed, scheme=scheme,
+                                                shared_gain=shared_gain)
+        ((size, rng),) = sim._chunk_streams(seed, n_blocks)
+        h = -nu * np.log1p(-rng.random((size, 1 if shared_gain else m.n_nodes)))
+        faded = h * m.gamma_ch_array()[None, :]
+        want = [closed_form(SystemModel.from_snrs(m.gamma_ob_array(), row,
+                                                  sigma_theta_sq=m.sigma_theta_sq))
+                for row in faded]
+        assert stats.n_trials == n_blocks
+        assert stats.mean_sq_error == np.mean(want)
+
+
 def test_fading_gain_scale_invariance():
     # h enters only through h * gamma_ch, and the sampler uses the inverse
     # CDF, so rescaling (nu, gamma_ch) at fixed product is bit-identical
