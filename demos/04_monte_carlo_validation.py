@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """End-to-end Monte Carlo validation of the analytic machinery.
 
-Simulates the Gaussian test channel (coded route) and amplify-and-forward
-(uncoded route), fuses with BLUE weights, and checks the sample statistics
-against the covariance construction and the hybrid closed form.
+Draws every node's recovery through the one forward model,
+``simulate.sample_recovery`` (Gaussian test channel on the coded route,
+amplify-and-forward on the uncoded route), fuses with BLUE weights, and
+checks the sample statistics against the covariance construction and the
+hybrid closed form.
 """
 
 import math
@@ -22,7 +24,8 @@ print("=== Test-channel second moments (node 0) ===")
 link = model.links[0]
 st = model.sigma_theta_sq
 theta = rng.standard_normal(N) * math.sqrt(st)
-x, obs = sim.sample_coded_recovery(theta, link, st, rng, return_observation=True)
+x, obs = sim.sample_recovery(theta, model, CodingPolicy((1, 1, 1)), rng)
+x, obs = x[:, 0], obs[:, 0]
 sigma_ob_sq = st / link.gamma_ob
 sigma_qu_sq = (st + sigma_ob_sq) / (1.0 + link.gamma_ch)
 cross_ob, cross_th = an.quantization_cross_moments(st, sigma_ob_sq, sigma_qu_sq)
@@ -33,16 +36,17 @@ print(f"E[n_qu n_ob] : sample {np.mean(n_qu * (obs - theta)):.6f}  "
       f"target {cross_ob:.6f}")
 print(f"E[n_qu theta]: sample {np.mean(n_qu * theta):.6f}  target {cross_th:.6f}")
 
-print()
-print("=== Total-noise covariance, all-coded system ===")
-noise = np.empty((N, model.n_nodes))
-theta = rng.standard_normal(N) * math.sqrt(st)
-for k, lk in enumerate(model.links):
-    noise[:, k] = theta - sim.sample_coded_recovery(theta, lk, st, rng)
-print("sample:")
-print(np.round(noise.T @ noise / N, 5))
-print("analytic:")
-print(np.round(an.total_noise_covariance(model), 5))
+for bits in ((1, 1, 1), (1, 0, 1)):
+    policy = CodingPolicy(bits)
+    print()
+    print(f"=== Noise covariance theta - x, policy {policy.as_bits()} ===")
+    theta = rng.standard_normal(N) * math.sqrt(st)
+    x, _ = sim.sample_recovery(theta, model, policy, rng)
+    noise = theta[:, None] - x
+    print("sample:")
+    print(np.round(noise.T @ noise / N, 5))
+    print("analytic:")
+    print(np.round(an.hybrid_noise_covariance(model, policy), 5))
 
 print()
 print("=== Hybrid distortion vs simulation ===")

@@ -60,7 +60,6 @@ __all__ = [
     "sherman_morrison_check",
     "exp_integral_en",
     "fading_coded_homo_distortion",
-    "amplifier_gain",
     "crossover_node_count",
     "crossover_node_count_total",
     "link_terms",
@@ -313,11 +312,6 @@ def _hybrid_breakdown(terms, sigma_theta_sq: float, rho) -> DistortionBreakdown:
     return DistortionBreakdown(total=total, per_term=tuple(per_term))
 
 
-def amplifier_gain(power: float, sigma_theta_sq: float, sigma_ob_sq: float) -> float:
-    """Amplify-and-forward power gain alpha = P / (sigma_theta^2 + sigma_ob^2)."""
-    return power / (sigma_theta_sq + sigma_ob_sq)
-
-
 # ---------------------------------------------------------------------------
 # limiting cases
 # ---------------------------------------------------------------------------
@@ -531,6 +525,21 @@ def coded_max_nodes(gamma_ob: float, gamma_ch: float) -> float:
 # crossover roots in continuous node count
 # ---------------------------------------------------------------------------
 
+class _NoCrossover(ValidationError):
+    """Coded still wins at every node count the root bracket reaches."""
+
+
+def _crossover_root(delta) -> float:
+    """Root of the coded-minus-uncoded gap ``delta(k)`` on [1, hi], doubling
+    hi until the gap turns nonnegative."""
+    lo, hi = 1.0, 2.0
+    while delta(hi) < 0:
+        hi *= 2.0
+        if hi > 1e9:
+            raise _NoCrossover("no crossover: coded wins for every tested node count")
+    return scipy.optimize.brentq(delta, lo, hi, xtol=1e-10, rtol=1e-14)
+
+
 def crossover_node_count(gamma_ob: float, gamma_ch: float,
                          sigma_theta_sq: float = 1.0) -> float:
     """Continuous K where the homogeneous coded and uncoded distortions
@@ -543,13 +552,7 @@ def crossover_node_count(gamma_ob: float, gamma_ch: float,
         uncoded = sigma_theta_sq / k * d
         return coded_homo_distortion(k, gamma_ob, gamma_ch, sigma_theta_sq) - uncoded
 
-    lo, hi = 1.0, 2.0
-    while delta(hi) < 0:
-        hi *= 2.0
-        if hi > 1e9:
-            raise ValidationError(
-                "no crossover: coded wins for every tested node count")
-    return scipy.optimize.brentq(delta, lo, hi, xtol=1e-10, rtol=1e-14)
+    return _crossover_root(delta)
 
 
 def crossover_node_count_total(gamma_ob: float, gamma_total: float,
@@ -561,13 +564,7 @@ def crossover_node_count_total(gamma_ob: float, gamma_total: float,
                                                  sigma_theta_sq)
         return coded - uncoded
 
-    lo, hi = 1.0, 2.0
-    while delta(hi) < 0:
-        hi *= 2.0
-        if hi > 1e9:
-            raise ValidationError(
-                "no crossover: coded wins for every tested node count")
-    return scipy.optimize.brentq(delta, lo, hi, xtol=1e-10, rtol=1e-14)
+    return _crossover_root(delta)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -395,14 +395,17 @@ def _crossover_roots(params: dict, seed: int):
     gob = _get(params, "gamma_ob", 7.0, float)
     gch = _get(params, "gamma_ch", 5.0, float)
     gt = _get(params, "gamma_total", 5.0, float)
-    return [
-        {"seed": seed, "constraint": "individual", "gamma_ob": gob,
-         "power_snr": gch,
-         "root": analytic.crossover_node_count(gob, gch)},
-        {"seed": seed, "constraint": "total", "gamma_ob": gob,
-         "power_snr": gt,
-         "root": analytic.crossover_node_count_total(gob, gt)},
-    ]
+    rows = []
+    for constraint, snr, find_root in (
+            ("individual", gch, analytic.crossover_node_count),
+            ("total", gt, analytic.crossover_node_count_total)):
+        try:
+            root = find_root(gob, snr)
+        except analytic._NoCrossover:
+            root = np.inf  # coded wins at every node count
+        rows.append({"seed": seed, "constraint": constraint, "gamma_ob": gob,
+                     "power_snr": snr, "root": root})
+    return rows
 
 
 EXPERIMENTS: dict[str, Callable] = {

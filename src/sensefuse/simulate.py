@@ -1,9 +1,11 @@
 """Monte Carlo validation of the closed forms.
 
-The lossy-compression step of the coded scheme is realized through the
-backward Gaussian test channel: given the noisy observation
-``obs = theta + n_ob`` with total power ``s2 = sigma_theta^2 + sigma_ob^2``
-and target distortion ``sigma_qu^2``, the recovery is sampled forward as
+:func:`sample_recovery` is the one forward model: it forms every node's
+recovery from the source value.  Node k observes
+``obs = theta + n_ob`` with total power ``s2 = sigma_theta^2 + sigma_ob^2``.
+A coded node realizes its lossy compression through the backward Gaussian
+test channel with target distortion ``sigma_qu^2 = s2 / (1 + g_ch)``,
+sampled forward as
 
     x = (1 - beta) * obs + w,   beta = sigma_qu^2 / s2,
     w ~ N(0, sigma_qu^2 (1 - beta)),  independent per node.
@@ -11,7 +13,10 @@ and target distortion ``sigma_qu^2``, the recovery is sampled forward as
 This construction meets all three second-moment constraints of the test
 channel: E[(obs - x)^2] = sigma_qu^2, x is uncorrelated with the
 quantization noise, and the quantization noises of different nodes are
-conditionally independent given the source.
+conditionally independent given the source.  An uncoded node amplifies
+and forwards ``obs``; after de-gaining, ``x = obs + n`` with
+``n ~ N(0, s2 / g_ch)``.  :func:`empirical_distortion` fuses these
+recoveries with the BLUE weights.
 
 Randomness comes from counter-based Philox streams spawned per fixed-size
 chunk, so results are bit-reproducible from the seed alone and chunks form
@@ -22,16 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.optimize
-import scipy.special
 
 from . import analytic
 from .model import (
     CodingPolicy,
-    SensorLink,
     SystemModel,
     ValidationError,
     check_policy,
@@ -43,8 +45,7 @@ __all__ = [
     "FoldedNormalSpec",
     "folded_normal_mean",
     "folded_normal_location",
-    "sample_coded_recovery",
-    "sample_uncoded_observation",
+    "sample_recovery",
     "empirical_distortion",
     "fading_empirical_distortion",
     "generate_instance",
@@ -152,51 +153,40 @@ def generate_instance(n_nodes: int, ch_spec: FoldedNormalSpec,
 
 
 # ---------------------------------------------------------------------------
-# per-node samplers
+# forward model
 # ---------------------------------------------------------------------------
 
-def sample_coded_recovery(theta, link: SensorLink, sigma_theta_sq: float,
-                          rng: np.random.Generator, return_observation: bool = False):
-    """Sample the coded-route recovery x for source value(s) theta.
+def sample_recovery(theta, model: SystemModel, policy: CodingPolicy,
+                    rng: np.random.Generator):
+    """Sample every node's recovery x of source value(s) theta.
 
-    Draws the noisy observation internally; pass ``return_observation`` to
-    also get it back (the tests reconstruct the quantization noise from it).
+    Returns ``(x, obs)`` with nodes on the last axis, ``obs`` being the
+    noisy observations.  Coded nodes go through the test channel and
+    uncoded nodes through the de-gained amplify-and-forward route (see the
+    module docstring).  All observation noise is drawn before all route
+    noise.
     """
-    theta = np.asarray(theta, dtype=float)
-    sigma_ob_sq = sigma_theta_sq / link.gamma_ob
-    sigma_qu_sq = (sigma_theta_sq + sigma_ob_sq) / (1.0 + link.gamma_ch)
-    s2 = sigma_theta_sq + sigma_ob_sq
+    theta = np.asarray(theta, dtype=float)[..., None]
+    shape = theta.shape[:-1] + (model.n_nodes,)
+    st = model.sigma_theta_sq
+    gch = model.gamma_ch_array()
+    sigma_ob = np.sqrt(st / model.gamma_ob_array())
+    s2 = st + sigma_ob ** 2
+    sigma_qu_sq = s2 / (1.0 + gch)
     beta = sigma_qu_sq / s2
-    obs = theta + math.sqrt(sigma_ob_sq) * rng.standard_normal(theta.shape)
-    w = math.sqrt(sigma_qu_sq * (1.0 - beta)) * rng.standard_normal(theta.shape)
-    x = (1.0 - beta) * obs + w
-    if return_observation:
-        return x, obs
-    return x
-
-
-def sample_uncoded_observation(theta, link: SensorLink, sigma_theta_sq: float,
-                               rng: np.random.Generator,
-                               return_observation: bool = False):
-    """Sample the amplify-and-forward route: received y = sqrt(alpha) obs +
-    n_ch and its de-gained estimate y / sqrt(alpha).
-
-    Uses unit channel noise power, so the transmit power is gamma_ch; the
-    de-gained noise variance is sigma_ob^2 + sigma_ch^2/alpha =
-    sigma_theta^2 (1/g_ob + 1/g_ch + 1/(g_ob g_ch)).
-    """
-    theta = np.asarray(theta, dtype=float)
-    sigma_ob_sq = sigma_theta_sq / link.gamma_ob
-    sigma_ch_sq = 1.0
-    power = link.gamma_ch * sigma_ch_sq
-    alpha = analytic.amplifier_gain(power, sigma_theta_sq, sigma_ob_sq)
-    obs = theta + math.sqrt(sigma_ob_sq) * rng.standard_normal(theta.shape)
-    n_ch = math.sqrt(sigma_ch_sq) * rng.standard_normal(theta.shape)
-    y = math.sqrt(alpha) * obs + n_ch
-    degained = y / math.sqrt(alpha)
-    if return_observation:
-        return y, degained, obs
-    return y, degained
+    coded = np.array(check_policy(model, policy).rho, dtype=bool)
+    gain = np.where(coded, 1.0 - beta, 1.0)
+    noise_scale = np.where(coded, np.sqrt(sigma_qu_sq * (1.0 - beta)), np.sqrt(s2 / gch))
+    # scaled in place, so a chunk of trials allocates fewer temporaries;
+    # IEEE sums and products commute, so the values are those of
+    # theta + sigma_ob * n and gain * obs + noise_scale * z
+    obs = rng.standard_normal(shape)
+    obs *= sigma_ob
+    obs += theta
+    x = rng.standard_normal(shape)
+    x *= noise_scale
+    x += gain * obs
+    return x, obs
 
 
 # ---------------------------------------------------------------------------
@@ -216,36 +206,22 @@ def empirical_distortion(model: SystemModel, policy: CodingPolicy,
                          n_trials: int, seed: int) -> TrialBatchStats:
     """Simulate the full chain and fuse with the analytic BLUE weights.
 
-    Per trial: draw theta, form each node's recovery according to its
-    scheme, fuse with the weights of the hybrid block covariance, and
-    accumulate the squared error.
+    Per trial: draw theta, form each node's recovery with
+    :func:`sample_recovery`, fuse with the weights of the hybrid block
+    covariance, and accumulate the squared error.
     """
     validate(model)
     check_policy(model, policy)
     if n_trials < 2:
         raise ValidationError(
             f"n_trials must be >= 2 for a standard error, got {n_trials}")
-    st = model.sigma_theta_sq
-    k = model.n_nodes
     weights = analytic.blue_weights(analytic.hybrid_noise_covariance(model, policy))
-
-    sigma_ob = np.sqrt(st / model.gamma_ob_array())
-    s2 = st + sigma_ob ** 2
-    sigma_qu_sq = s2 / (1.0 + model.gamma_ch_array())
-    beta = sigma_qu_sq / s2
-    coded = np.array(policy.rho, dtype=bool)
-    # coded route: x = (1-beta) obs + w; uncoded route: x = obs + scaled noise
-    gain = np.where(coded, 1.0 - beta, 1.0)
-    noise_scale = np.where(coded, np.sqrt(sigma_qu_sq * (1.0 - beta)),
-                           np.sqrt(s2 / model.gamma_ch_array()))
-
+    st = model.sigma_theta_sq
     total = 0.0
     total_sq = 0.0
     for size, rng in _chunk_streams(seed, n_trials):
         theta = math.sqrt(st) * rng.standard_normal(size)
-        obs = theta[:, None] + sigma_ob[None, :] * rng.standard_normal((size, k))
-        z = rng.standard_normal((size, k))
-        x = gain[None, :] * obs + noise_scale[None, :] * z
+        x, _ = sample_recovery(theta, model, policy, rng)
         err = x @ weights - theta
         sq = err * err
         total += float(sq.sum())

@@ -32,16 +32,16 @@ def test_cross_moments_reject_nonpositive():
 
 def test_cross_moments_against_test_channel_sampler():
     # oracle: 1e6 draws through the simulate test channel, 3 standard errors
-    link = SensorLink(gamma_ob=7.0, gamma_ch=5.0)
-    st = 1.0
-    sigma_ob_sq = st / link.gamma_ob
-    sigma_qu_sq = (st + sigma_ob_sq) / (1.0 + link.gamma_ch)
+    st, gob, gch = 1.0, 7.0, 5.0
+    sigma_ob_sq = st / gob
+    sigma_qu_sq = (st + sigma_ob_sq) / (1.0 + gch)
     n = 1_000_000
     rng = np.random.Generator(np.random.Philox(42))
     theta = rng.standard_normal(n) * math.sqrt(st)
-    x, obs = sim.sample_coded_recovery(theta, link, st, rng, return_observation=True)
-    n_qu = obs - x
-    n_ob = obs - theta
+    m = SystemModel.from_snrs([gob], [gch], sigma_theta_sq=st)
+    x, obs = sim.sample_recovery(theta, m, CodingPolicy((1,)), rng)
+    n_qu = (obs - x)[:, 0]
+    n_ob = obs[:, 0] - theta
     want_ob, want_th = an.quantization_cross_moments(st, sigma_ob_sq, sigma_qu_sq)
     for sample, want, sig2 in ((n_qu * n_ob, want_ob, sigma_ob_sq),
                                (n_qu * theta, want_th, st)):
@@ -76,10 +76,8 @@ def test_total_noise_covariance_matches_sampled_noise():
     n = 1_000_000
     rng = np.random.Generator(np.random.Philox(11))
     theta = rng.standard_normal(n) * math.sqrt(st)
-    noise = np.empty((n, 3))
-    for k, link in enumerate(m.links):
-        x = sim.sample_coded_recovery(theta, link, st, rng)
-        noise[:, k] = theta - x  # n_qu - n_ob
+    x, _ = sim.sample_recovery(theta, m, CodingPolicy((1, 1, 1)), rng)
+    noise = theta[:, None] - x  # n_qu - n_ob
     want = an.total_noise_covariance(m)
     emp = noise.T @ noise / n
     var = np.outer(noise.var(axis=0), noise.var(axis=0))
@@ -231,12 +229,6 @@ def test_hybrid_length_mismatch():
     m = SystemModel.homogeneous(3, 1.0, 1.0)
     with pytest.raises(ValidationError, match="length"):
         an.hybrid_distortion(m, CodingPolicy((1, 0)))
-
-
-def test_amplifier_gain():
-    assert an.amplifier_gain(2.0, 1.0, 1.0) == pytest.approx(1.0)
-    assert an.amplifier_gain(3.0, 1.0, 2.0) == pytest.approx(1.0)
-    assert an.amplifier_gain(2.0, 1.0, 1e12) < 1e-11
 
 
 # ---------------------------------------------------------------------------

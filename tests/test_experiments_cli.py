@@ -225,6 +225,35 @@ def test_cli_validate(capsys):
     assert payload["analytic"] == pytest.approx(0.625, rel=1e-12)
 
 
+def test_cli_validate_json_pinned(tmp_path):
+    # two Philox chunks; any change to the Monte Carlo draws, their order or
+    # their sums moves these bytes
+    out = tmp_path / "validate.json"
+    rc = cli_entry(["validate", "--gamma-ob", "7,3,12,0.5", "--gamma-ch", "5,8,2,20",
+                    "--policy", "1010", "--trials", "70000", "--seed", "2718",
+                    "--format", "json", "--out", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == (
+        b'{\n  "policy": "1010",\n  "analytic": 0.13018387622954872,\n'
+        b'  "empirical": 0.13002893477400548,\n  "std_error": 0.0006960523069923251,\n'
+        b'  "n_trials": 70000,\n  "seed": 2718,\n  "z_score": -0.22260030458449762,\n'
+        b'  "within_3_sigma": true\n}\n')
+
+
+def test_cli_crossover_roots_without_total_power_crossover(tmp_path, capsys):
+    # coded wins at every node count under the total power constraint, so
+    # that root is inf; the individual-power root is still written
+    spec = tmp_path / "roots.spec"
+    spec.write_text("experiment = crossover_roots\ngamma_total = 0.5\n")
+    out = tmp_path / "roots.csv"
+    assert cli_entry(["run", str(spec), "--out", str(out)]) == 0
+    rows = {r["constraint"]: r["root"] for r in _read_rows(out)}
+    assert float(rows["individual"]) == pytest.approx(4.085714, abs=1e-4)
+    assert rows["total"] == "inf"
+    with pytest.raises(ValidationError, match="no crossover"):
+        an.crossover_node_count_total(7.0, 0.5)
+
+
 def test_cli_run_byte_identical(tmp_path, capsys):
     spec_file = tmp_path / "fig3.spec"
     spec_file.write_text("experiment = fig3_d_vs_k\nk_max = 5\n")

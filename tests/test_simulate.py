@@ -6,7 +6,7 @@ import scipy.integrate
 
 from sensefuse import analytic as an
 from sensefuse import simulate as sim
-from sensefuse.model import CodingPolicy, SensorLink, SystemModel, ValidationError
+from sensefuse.model import CodingPolicy, SystemModel, ValidationError
 
 from conftest import random_instance
 
@@ -15,37 +15,38 @@ def _rng(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _one_node(gamma_ob, gamma_ch, bit, theta, seed, st=1.0):
+    """(x, obs) of a single node through :func:`simulate.sample_recovery`."""
+    m = SystemModel.from_snrs([gamma_ob], [gamma_ch], sigma_theta_sq=st)
+    x, obs = sim.sample_recovery(theta, m, CodingPolicy((bit,)), _rng(seed))
+    return x[..., 0], obs[..., 0]
+
+
 # ---------------------------------------------------------------------------
-# test channel sampler
+# test channel (coded route)
 # ---------------------------------------------------------------------------
 
 def test_coded_recovery_lossless_limit():
-    link = SensorLink(gamma_ob=2.0, gamma_ch=1e14)
     theta = _rng(0).standard_normal(1000)
-    x, obs = sim.sample_coded_recovery(theta, link, 1.0, _rng(1),
-                                       return_observation=True)
+    x, obs = _one_node(2.0, 1e14, 1, theta, 1)
     np.testing.assert_allclose(x, obs, atol=1e-6)
 
 
 def test_coded_recovery_quantization_power():
-    link = SensorLink(gamma_ob=7.0, gamma_ch=5.0)
-    st = 1.0
-    sigma_qu_sq = (st + st / link.gamma_ob) / (1.0 + link.gamma_ch)
+    gob, gch, st = 7.0, 5.0, 1.0
+    sigma_qu_sq = (st + st / gob) / (1.0 + gch)
     n = 1_000_000
     theta = _rng(2).standard_normal(n) * math.sqrt(st)
-    x, obs = sim.sample_coded_recovery(theta, link, st, _rng(3),
-                                       return_observation=True)
+    x, obs = _one_node(gob, gch, 1, theta, 3, st)
     emp = np.mean((obs - x) ** 2)
     se = sigma_qu_sq * math.sqrt(2.0 / n)  # chi-square variance of squares
     assert abs(emp - sigma_qu_sq) < 3 * se
 
 
 def test_coded_recovery_is_uncorrelated_with_quantization_noise():
-    link = SensorLink(gamma_ob=3.0, gamma_ch=2.0)
     n = 1_000_000
     theta = _rng(4).standard_normal(n)
-    x, obs = sim.sample_coded_recovery(theta, link, 1.0, _rng(5),
-                                       return_observation=True)
+    x, obs = _one_node(3.0, 2.0, 1, theta, 5)
     n_qu = obs - x
     corr = np.mean(x * n_qu)
     se = math.sqrt(np.var(x) * np.var(n_qu) / n)
@@ -53,15 +54,13 @@ def test_coded_recovery_is_uncorrelated_with_quantization_noise():
 
 
 def test_coded_recovery_cross_moments_match_closed_form():
-    link = SensorLink(gamma_ob=7.0, gamma_ch=5.0)
-    st = 1.0
-    sigma_ob_sq = st / link.gamma_ob
-    sigma_qu_sq = (st + sigma_ob_sq) / (1.0 + link.gamma_ch)
+    gob, gch, st = 7.0, 5.0, 1.0
+    sigma_ob_sq = st / gob
+    sigma_qu_sq = (st + sigma_ob_sq) / (1.0 + gch)
     want_ob, want_th = an.quantization_cross_moments(st, sigma_ob_sq, sigma_qu_sq)
     n = 1_000_000
     theta = _rng(6).standard_normal(n) * math.sqrt(st)
-    x, obs = sim.sample_coded_recovery(theta, link, st, _rng(7),
-                                       return_observation=True)
+    x, obs = _one_node(gob, gch, 1, theta, 7, st)
     n_qu, n_ob = obs - x, obs - theta
     se_ob = math.sqrt((sigma_qu_sq * sigma_ob_sq + want_ob ** 2) / n)
     se_th = math.sqrt((sigma_qu_sq * st + want_th ** 2) / n)
@@ -70,39 +69,57 @@ def test_coded_recovery_cross_moments_match_closed_form():
 
 
 # ---------------------------------------------------------------------------
-# amplify-and-forward sampler
+# amplify-and-forward (uncoded route)
 # ---------------------------------------------------------------------------
 
 def test_uncoded_degained_noise_variance():
-    link = SensorLink(gamma_ob=7.0, gamma_ch=5.0)
-    st = 1.0
+    gob, gch, st = 7.0, 5.0, 1.0
     n = 1_000_000
     theta = _rng(8).standard_normal(n)
-    _, degained = sim.sample_uncoded_observation(theta, link, st, _rng(9))
-    d_k = st * (1.0 / link.gamma_ob + 1.0 / link.gamma_ch
-                + 1.0 / (link.gamma_ob * link.gamma_ch))
-    emp = np.mean((degained - theta) ** 2)
+    x, _ = _one_node(gob, gch, 0, theta, 9, st)
+    d_k = st * (1.0 / gob + 1.0 / gch + 1.0 / (gob * gch))
+    emp = np.mean((x - theta) ** 2)
     se = d_k * math.sqrt(2.0 / n)
     assert abs(emp - d_k) < 3 * se
 
 
 def test_uncoded_noiseless_channel_limit():
-    link = SensorLink(gamma_ob=2.0, gamma_ch=1e16)
     theta = _rng(10).standard_normal(500)
-    _, degained, obs = sim.sample_uncoded_observation(
-        theta, link, 1.0, _rng(11), return_observation=True)
-    np.testing.assert_allclose(degained, obs, atol=1e-6)
+    x, obs = _one_node(2.0, 1e16, 0, theta, 11)
+    np.testing.assert_allclose(x, obs, atol=1e-6)
 
 
-def test_uncoded_unit_gain_case():
-    # transmit power equal to the observation power makes alpha exactly 1
-    st, gob = 1.0, 1.0
-    sigma_ob_sq = st / gob
-    link = SensorLink(gamma_ob=gob, gamma_ch=st + sigma_ob_sq)
-    theta = _rng(12).standard_normal(200)
-    y, degained, obs = sim.sample_uncoded_observation(
-        theta, link, st, _rng(13), return_observation=True)
-    np.testing.assert_allclose(y - obs, degained - obs, rtol=1e-12)
+# ---------------------------------------------------------------------------
+# all nodes at once
+# ---------------------------------------------------------------------------
+
+def test_sample_recovery_puts_nodes_on_the_last_axis():
+    m = random_instance(3, seed=2)
+    pol = CodingPolicy((1, 0, 1))
+    x, obs = sim.sample_recovery(0.5, m, pol, _rng(0))
+    assert x.shape == obs.shape == (3,)
+    x, obs = sim.sample_recovery(np.zeros((4, 5)), m, pol, _rng(0))
+    assert x.shape == obs.shape == (4, 5, 3)
+    with pytest.raises(ValidationError, match="length"):
+        sim.sample_recovery(0.5, m, CodingPolicy((1,)), _rng(0))
+
+
+@pytest.mark.parametrize("bits", [(1, 0, 1, 0), (0, 1, 1, 1), (0, 0, 1, 0)])
+def test_sampled_noise_covariance_matches_hybrid_covariance(bits):
+    # 16 entries, each within 4 standard errors of the block covariance;
+    # the product of two zero-mean Gaussians has variance S_ii S_jj + S_ij^2
+    m = random_instance(4, seed=21)
+    policy = CodingPolicy(bits)
+    n = 1_000_000
+    rng = _rng(31)
+    theta = rng.standard_normal(n) * math.sqrt(m.sigma_theta_sq)
+    x, _ = sim.sample_recovery(theta, m, policy, rng)
+    noise = theta[:, None] - x
+    want = an.hybrid_noise_covariance(m, policy)
+    emp = noise.T @ noise / n
+    diag = np.diag(want)
+    se = np.sqrt((np.outer(diag, diag) + want ** 2) / n)
+    assert np.all(np.abs(emp - want) < 4 * se)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +153,15 @@ def test_empirical_distortion_deterministic():
     assert a == b
     c = sim.empirical_distortion(m, pol, 123_456, seed=100)
     assert c.mean_sq_error != a.mean_sq_error
+
+
+def test_empirical_distortion_pinned_stream():
+    # two Philox chunks; any change to the coefficients, the draw order or
+    # the summation of the Monte Carlo chain moves these bits
+    m = SystemModel.from_snrs(gamma_ob=[7.0, 3.0, 12.0, 0.5], gamma_ch=[5.0, 8.0, 2.0, 20.0])
+    stats = sim.empirical_distortion(m, CodingPolicy((1, 0, 1, 0)), 70_000, seed=2718)
+    assert stats.mean_sq_error.hex() == "0x1.0a4c9c331ac4dp-3"
+    assert stats.std_error.hex() == "0x1.6cee8f28a0813p-11"
 
 
 def test_empirical_distortion_rejects_bad_trials():
