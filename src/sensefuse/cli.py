@@ -16,7 +16,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -75,7 +75,7 @@ def _model_from_args(args) -> SystemModel:
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
-        rendered = json.dumps(payload, indent=2) + "\n"
+        rendered = experiments._json_text(payload) + "\n"
     else:
         rendered = text
     if getattr(args, "out", None):
@@ -188,10 +188,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged, and
+    every call gets a fresh namespace."""
+    return build_parser()
+
+
 def cli_entry(argv: Optional[Sequence[str]] = None) -> int:
     """Parse arguments and dispatch; returns the process exit status."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, OSError) as exc:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import zlib
 from dataclasses import dataclass, field
@@ -443,6 +444,23 @@ def write_rows_csv(path, rows) -> None:
             writer.writerow([_format_cell(row[name]) for name in fieldnames])
 
 
+def _finite_json(value):
+    """``value`` with every non-finite float written as the CSV writes it:
+    "inf", "-inf" or "nan"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return _format_cell(value)
+    if isinstance(value, dict):
+        return {key: _finite_json(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(v) for v in value]
+    return value
+
+
+def _json_text(payload) -> str:
+    """Strict (RFC 8259) JSON text of a payload, indented by two."""
+    return json.dumps(_finite_json(payload), indent=2, allow_nan=False)
+
+
 def write_rows_json(path, spec: ExperimentSpec, seed: int, rows) -> None:
     payload = {
         "spec": {"name": spec.name, "params": dict(spec.params)},
@@ -450,8 +468,7 @@ def write_rows_json(path, spec: ExperimentSpec, seed: int, rows) -> None:
         "rows": rows,
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+        fh.write(_json_text(payload) + "\n")
 
 
 def _resolve_output(spec: ExperimentSpec, out: Optional[str], fmt: str) -> Path:

@@ -159,6 +159,12 @@ def validate(model: SystemModel) -> SystemModel:
         With a distinct diagnostic per violated invariant: no nodes,
         nonpositive source power/bandwidth, nonpositive or non-finite SNRs.
     """
+    # one pass when everything holds; the checks below only name the fault
+    if (model.links and 0 < model.sigma_theta_sq < math.inf
+            and 0 < model.bandwidth < math.inf
+            and all(0 < link.gamma_ob < math.inf and 0 < link.gamma_ch < math.inf
+                    for link in model.links)):
+        return model
     _require_positive_finite(model.sigma_theta_sq, "source power sigma_theta_sq")
     _require_positive_finite(model.bandwidth, "bandwidth")
     if len(model.links) == 0:

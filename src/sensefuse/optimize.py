@@ -17,6 +17,20 @@ Tie-breaking is deterministic everywhere: candidate expansions are ordered
 by (distortion, node index, coded before uncoded, parent slot); the
 exhaustive search prefers more coded nodes and then the lexicographically
 smallest policy.
+
+The searches rank by selection, not by sorting every candidate.  The
+exhaustive search takes each chunk's minimum distortion (finite before inf
+before NaN) and computes the tie-break preference only for the policies
+tied at it.  At group size 1 each step is one ``argmin`` per instance.  At
+larger group sizes each instance's candidates are laid out in tie-break
+order, cut to a head with :func:`numpy.partition` and only the head is
+sorted.  The dedup head starts at twice the group size and doubles while an
+instance has fewer distinct children than the group holds, up to
+``group_size * (step + 1)``, which always suffices; when the group can hold
+every partial policy of the next size, the head is every candidate.
+Children are deduplicated on packed (assigned, coded) node sets carried
+per beam row: one 64-bit key with the instance above the 2K node bits when
+that fits, else the instance and the packed words.
 """
 
 from __future__ import annotations
@@ -49,14 +63,15 @@ __all__ = [
 
 GLOBAL_SEARCH_MAX_NODES = 24
 _GLOBAL_CHUNK = 1 << 16
+_FLOAT_MAX = np.finfo(float).max
 
 
 def _refreshed_result(terms, sigma_theta_sq: float, bits: Sequence[int],
                       visit_order: Sequence[int], evaluations: int) -> PolicySearchResult:
-    policy = CodingPolicy(tuple(int(b) for b in bits))
+    policy = CodingPolicy(tuple(bits))
     distortion = _hybrid_breakdown(terms, sigma_theta_sq, policy.rho).total
     return PolicySearchResult(policy=policy, distortion=distortion,
-                              visit_order=tuple(int(v) for v in visit_order),
+                              visit_order=tuple(visit_order),
                               evaluations=int(evaluations))
 
 
@@ -99,29 +114,45 @@ def global_search(model: SystemModel) -> PolicySearchResult:
     return global_search_batch([model])[0]
 
 
+def _preference(codes: np.ndarray, k: int) -> np.ndarray:
+    """Exhaustive-search tie-break key of policy codes (bit j is node j):
+    more coded nodes first, then the lexicographically smallest policy."""
+    bits = (codes[:, None] >> np.arange(k)) & 1
+    lex_weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
+    return ((k - bits.sum(axis=1)) << k) | (bits @ lex_weights)
+
+
+def _first_best(dist: np.ndarray, codes: np.ndarray, k: int):
+    """Index and preference of the policy ``np.lexsort((preference, dist))``
+    ranks first (finite < inf < NaN), computing the preference only for
+    the tied minima."""
+    low = np.fmin.reduce(dist)  # NaN only when every value is NaN
+    tied = np.flatnonzero(dist == low) if low == low else np.arange(len(dist))
+    preference = _preference(codes[tied], k)
+    j = preference.argmin()
+    return tied[j], preference[j]
+
+
 def _global_policies(terms, st):
     a, b, c, e = terms
     n, k = a.shape
-    node_bits = np.arange(k, dtype=np.int64)
-    lex_weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
     total = 1 << k
     best = [None] * n  # (distortion, preference, code) per instance
     for start in range(0, total, _GLOBAL_CHUNK):
-        codes = np.arange(start, min(start + _GLOBAL_CHUNK, total), dtype=np.int64)
-        bits = (codes[:, None] >> node_bits[None, :]) & 1
-        mask = bits.astype(float)
-        # more coded nodes first, then the lexicographically smallest policy
-        preference = ((k - bits.sum(axis=1)) << k) | (bits @ lex_weights)
+        codes = np.arange(start, min(start + _GLOBAL_CHUNK, total), dtype="<i8")
+        mask = np.unpackbits(codes.view(np.uint8).reshape(-1, 8), axis=1, count=k,
+                             bitorder="little").astype(float)
+        unmask = 1.0 - mask
         for i in range(n):
             # one matrix-vector product per instance: a stacked matrix product
             # sums in another order and would move the last bits
             s_a = mask @ a[i]
             s_b = mask @ b[i]
             s_c = mask @ c[i]
-            s_e = (1.0 - mask) @ e[i]
+            s_e = unmask @ e[i]
             dist = st[i] / (_coded_inverse_term(s_a, s_b, s_c) + s_e)
-            pick = np.lexsort((preference, dist))[0]
-            key = (dist[pick], preference[pick], int(codes[pick]))
+            pick, preference = _first_best(dist, codes, k)
+            key = (dist[pick], preference, int(codes[pick]))
             if best[i] is None or key < best[i]:
                 best[i] = key
     for _, _, code in best:
@@ -151,104 +182,176 @@ def group_greedy(model: SystemModel, group_size: int) -> PolicySearchResult:
     return group_greedy_batch([model], group_size)[0]
 
 
-def _rank_in_instance(inst: np.ndarray) -> np.ndarray:
-    """Position of each entry among the entries of its instance; ``inst``
-    is ascending."""
-    return np.arange(len(inst)) - np.searchsorted(inst, inst)
-
-
-def _bit_words(n_bits: int) -> np.ndarray:
-    """(n_bits, words) table: row i is bit i of a packed row of 64-bit words."""
-    bit = np.arange(n_bits)
-    table = np.zeros((n_bits, -(-n_bits // 64)), dtype=np.uint64)
-    table[bit, bit // 64] = np.uint64(1) << (bit % 64).astype(np.uint64)
+def _choice_words(k: int) -> np.ndarray:
+    """(2K, words) table of the packed bits that choice ``2 node + uncoded``
+    adds to a partial policy: bit ``node`` marks the node assigned, bit
+    ``K + node`` marks it coded.  A child's words are its parent's plus
+    its choice's, since the bits are disjoint."""
+    choice = np.arange(2 * k)
+    bit = np.concatenate([choice // 2, choice[::2] // 2 + k])
+    table = np.zeros((2 * k, -(-2 * k // 64)), dtype=np.uint64)
+    np.add.at(table, (np.concatenate([choice, choice[::2]]), bit // 64),
+              np.uint64(1) << (bit % 64).astype(np.uint64))
     return table
 
 
-def _child_keys(assign, cand_inst, cand_row, cand_node, cand_coded, bit_words):
-    """Fixed-width keys of candidate children: the instance index, then the
-    child's assigned and coded node sets packed into 64-bit words."""
-    k = assign.shape[1]
-    planes = np.concatenate([assign >= 0, assign == 1], axis=1).astype(np.uint64)
-    parents = planes @ bit_words  # the bits are disjoint, so the sum packs them
-    children = (parents[cand_row] + bit_words[cand_node]
-                + bit_words[cand_node + k] * cand_coded[:, None])
+def _child_keys(children, cand_inst, n_instances: int, n_bits: int):
+    """Fixed-width keys of candidate children from their packed words: one
+    64-bit word with the instance above the ``n_bits`` node bits when that
+    fits, else the instance column followed by the words."""
+    if n_instances == 1:
+        return children[:, 0] if children.shape[1] == 1 else children
+    if n_bits < 64 and (n_instances - 1) >> (64 - n_bits) == 0:
+        return children[:, 0] | (cand_inst.astype(np.uint64) << np.uint64(n_bits))
     # uint64 throughout: mixing in a signed column would promote to float64
     return np.column_stack([cand_inst.astype(np.uint64), children])
 
 
 def _first_distinct(keys: np.ndarray) -> np.ndarray:
-    """Ascending indices of the first row of each distinct key row."""
-    order = np.lexsort(keys.T)  # stable: equal rows keep their index order
-    ordered = keys[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    return np.sort(order[first])
+    """Ascending indices of the first entry of each distinct key (a key is
+    a row of a 2-D ``keys``)."""
+    # both sorts are stable: equal keys keep their index order
+    if keys.ndim == 1:
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        new = ordered[1:] != ordered[:-1]
+    else:
+        order = np.lexsort(keys.T)
+        ordered = keys[order]
+        new = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return np.sort(order[np.concatenate([[True], new])])
+
+
+def _select_children(cand, inst, rows, words, choice_words, group_size: int, step: int):
+    """Per instance, the first ``group_size`` distinct children in
+    (distortion, node, coded first, parent slot) order.
+
+    ``cand`` holds the (rows, nodes, scheme) candidate distortions, inf
+    where a candidate is closed.  They are laid out per instance in the
+    tie-break order, so a stable sort on the distortion alone ranks them.
+    Each instance's candidates are cut to a head with
+    :func:`numpy.partition` and only the head is sorted: every candidate up
+    to the head's last distortion is a prefix of the order, so its first
+    distinct children are the instance's first ones.  Returns the parent
+    row, choice (``2 node + uncoded``) and instance of each kept child.
+    """
+    n = len(rows)
+    n_rows, k, _ = cand.shape
+    slots = int(rows.max())
+    n_open = slots * 2 * (k - step)  # open candidates of the fullest instance
+    starts = np.cumsum(rows) - rows
+    if n_rows == n * slots:  # every instance holds as many rows: no padding
+        table = cand.reshape(n, slots, 2 * k).transpose(0, 2, 1).reshape(n, -1)
+    else:
+        table = np.full((n, 2 * k, slots), np.inf)
+        table[inst, :, np.arange(n_rows) - starts[inst]] = cand.reshape(n_rows, 2 * k)
+        table = table.reshape(n, -1)
+    dedup = slots > 1
+    # a child repeats at most once per assigned node (once per parent it
+    # extends), so a head of group_size * (step + 1) always suffices
+    bound = group_size * (step + 1)
+    if group_size >= math.comb(k, step + 1) << (step + 1):
+        head = n_open  # the group holds every partial policy of the next size
+    else:
+        head = min(2 * group_size, bound) if dedup else group_size
+    while True:
+        if head < n_open:
+            cut = np.partition(table, head - 1, axis=1)[:, head - 1]
+            c_inst, pos = np.nonzero(table <= np.minimum(cut, _FLOAT_MAX)[:, None])
+        else:
+            cut = None
+            c_inst, pos = np.nonzero(table < np.inf)
+        # in (instance, node, uncoded, parent slot) order
+        dist = table[c_inst, pos]
+        rank = np.argsort(dist, kind="stable") if n == 1 else np.lexsort((dist, c_inst))
+        c_inst, pos = c_inst[rank], pos[rank]
+        choice, c_slot = np.divmod(pos, slots)
+        row = starts[c_inst] + c_slot
+        if not dedup:
+            break
+        first = _first_distinct(_child_keys(words[row] + choice_words[choice], c_inst, n,
+                                            2 * k))
+        row, choice, c_inst = row[first], choice[first], c_inst[first]
+        if cut is None or head >= bound:
+            break
+        # an instance short of distinct children whose head was cut needs more
+        short = np.bincount(c_inst, minlength=n) < group_size
+        if not (short & (cut < np.inf)).any():
+            break
+        head = min(2 * head, bound)
+    if n == 1:
+        return row[:group_size], choice[:group_size], c_inst[:group_size]
+    keep = np.arange(len(c_inst)) - np.searchsorted(c_inst, c_inst) < group_size
+    return row[keep], choice[keep], c_inst[keep]
 
 
 def _beam_policies(terms, st, group_size: int):
     """The beam engine over (instances, beam, nodes).
 
     Beam rows of all instances are stacked, grouped by instance; ``inst``
-    maps each row to its instance.  Each step ranks every open expansion
-    by (instance, distortion, node, coded first, parent slot), drops
-    expansions that repeat an earlier child policy of the same instance,
-    and keeps the first ``group_size`` per instance.
+    maps each row to its instance.  Each step evaluates every open
+    expansion and keeps, per instance, the first ``group_size`` distinct
+    children in (distortion, node, coded first, parent slot) order: by an
+    ``argmin`` per instance at group size 1, else by
+    :func:`_select_children`.
     """
     terms = np.stack(terms)  # (4, instances, nodes): a, b, c, e
     _, n, k = terms.shape
+    # what choice 2 node + uncoded adds to a row's sums: a, b, c of a coded
+    # node, e of an uncoded one
+    grow = np.zeros((4, n, k, 2))
+    grow[:3, :, :, 0] = terms[:3]
+    grow[3, :, :, 1] = terms[3]
+    grow = grow.reshape(4, n, 2 * k)
     inst = np.arange(n)
+    rows = np.ones(n, dtype=np.int64)  # beam rows per instance
     assign = np.full((n, k), -1, dtype=np.int8)
-    order = np.empty((n, 0), dtype=np.int64)
+    order = np.zeros((n, k), dtype=np.int64)
     # per row: sums of a, b, c over its coded nodes and of e over its uncoded ones
     sums = np.zeros((4, n))
-    fed_by_coded = np.array([True, True, True, False])[:, None]
     evaluations = np.zeros(n, dtype=np.int64)
-    bit_words = _bit_words(2 * k)
+    if group_size > 1:  # packed (assigned, coded) node sets per row, for the dedup
+        choice_words = _choice_words(k)
+        words = np.zeros((n, choice_words.shape[1]), dtype=np.uint64)
 
     for step in range(k):
-        n_rows = len(inst)
-        evaluations += 2 * (k - step) * np.bincount(inst, minlength=n)
+        evaluations += 2 * (k - step) * rows
         s_a, s_b, s_c, s_e = sums
-        row_terms = terms[:, inst]
+        # with one row per instance, the rows are the instances
+        row_terms, row_st = (terms[:, inst], st[inst]) if len(inst) > n else (terms, st)
+        den = np.empty((len(inst), k, 2))  # (rows, nodes, scheme)
         # rho = 1: coded term changes, uncoded sum unchanged
-        inv1 = _coded_inverse_term(*(sums[:3, :, None] + row_terms[:3])) + s_e[:, None]
+        np.add(_coded_inverse_term(*(sums[:3, :, None] + row_terms[:3])), s_e[:, None],
+               out=den[:, :, 0])
         # rho = 0: coded term unchanged, uncoded sum grows
-        inv0 = (_coded_inverse_term(s_a, s_b, s_c) + s_e)[:, None] + row_terms[3]
+        np.add((_coded_inverse_term(s_a, s_b, s_c) + s_e)[:, None], row_terms[3],
+               out=den[:, :, 1])
+        cand = row_st[:, None, None] / den
+        # taken nodes and non-finite distortions are closed
+        cand[~np.isfinite(cand)] = np.inf
+        cand[assign >= 0] = np.inf
 
-        cand_d = st[inst][:, None] / np.stack([inv1, inv0])
-        cand_d[:, assign >= 0] = np.inf
-        # candidate (node, scheme, parent row) sits at index
-        # (2 node + uncoded) n_rows + row, which is the tie-break order
-        cand_d = cand_d.transpose(2, 0, 1).ravel()
-        finite = np.flatnonzero(np.isfinite(cand_d))
-        # lexsort is stable: equal (instance, distortion) keep the index order
-        rank = finite[np.lexsort((cand_d[finite], inst[finite % n_rows]))]
-        row = rank % n_rows
-        node = rank // (2 * n_rows)
-        coded = rank // n_rows % 2 == 0
-        cand_inst = inst[row]
-        if n_rows > n:  # an instance holds several partial policies
-            # a child repeats at most once per assigned node (once per parent
-            # it extends), so the first group_size * (step + 1) candidates of
-            # an instance hold its first group_size distinct children
-            head = _rank_in_instance(cand_inst) < group_size * (step + 1)
-            row, node, coded, cand_inst = row[head], node[head], coded[head], cand_inst[head]
-            first = _first_distinct(_child_keys(assign, cand_inst, row, node, coded,
-                                                bit_words))
-            row, node, coded, cand_inst = row[first], node[first], coded[first], cand_inst[first]
-        keep = _rank_in_instance(cand_inst) < group_size
-        parent, node, coded, inst = row[keep], node[keep], coded[keep], cand_inst[keep]
-        assign = assign[parent]
-        assign[np.arange(len(parent)), node] = coded
-        order = np.concatenate([order[parent], node[:, None]], axis=1)
-        sums = sums[:, parent] + np.where(fed_by_coded == coded, terms[:, inst, node], 0.0)
+        if group_size == 1:  # one row per instance: its first minimum wins
+            table = cand.reshape(n, 2 * k)
+            choice = table.argmin(axis=1)
+            if table[inst, choice].max() == np.inf:
+                raise ValidationError("no finite candidate distortion for some instance")
+        else:
+            parent, choice, inst = _select_children(cand, inst, rows, words, choice_words,
+                                                    group_size, step)
+            rows = np.bincount(inst, minlength=n)
+            if not rows.all():
+                raise ValidationError("no finite candidate distortion for some instance")
+            words = words[parent] + choice_words[choice]
+            assign, order, sums = assign[parent], order[parent], sums[:, parent]
+        node, uncoded = np.divmod(choice, 2)
+        assign[np.arange(len(inst)), node] = 1 - uncoded
+        order[:, step] = node
+        sums = sums + grow[:, inst, choice]
 
-    if not np.bincount(inst, minlength=n).all():
-        raise ValidationError("no finite candidate distortion for some instance")
     # rows of an instance are ascending in distortion; its first row wins
-    for i, row in enumerate(np.searchsorted(inst, np.arange(n))):
-        yield assign[row], order[row], evaluations[i]
+    for i, row in enumerate(np.cumsum(rows) - rows):
+        yield assign[row].tolist(), order[row].tolist(), evaluations[i]
 
 
 def exhaustive_group_size(n_nodes: int) -> int:
@@ -295,7 +398,7 @@ def sorted_greedy(model: SystemModel, ranking: str = "coded") -> PolicySearchRes
             s_c += c[idx]
         else:
             s_e += e[idx]
-    return _refreshed_result((a, b, c, e), st, rho, visit, evaluations)
+    return _refreshed_result((a, b, c, e), st, rho.tolist(), visit.tolist(), evaluations)
 
 
 def _distortions(batch) -> np.ndarray:

@@ -69,11 +69,17 @@ def test_child_keys_keep_every_bit_of_a_full_word():
     # K=40: coding node 23 sets bit 63 of the first key word; children that
     # differ only in its lowest bits must stay distinct
     k = 40
-    assign = np.full((1, k), -1, dtype=np.int8)
-    assign[0, 23] = 1
-    keys = op._child_keys(assign, np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.intp),
-                          np.array([0, 1]), np.array([False, False]), op._bit_words(2 * k))
-    assert list(op._first_distinct(keys)) == [0, 1]
+    words = op._choice_words(k)
+    parent = words[2 * 23]  # node 23 coded
+    assert parent[0] == np.uint64(1) << np.uint64(63) | np.uint64(1) << np.uint64(23)
+    children = parent + words[[2 * 0 + 1, 2 * 1 + 1]]  # node 0 or node 1 uncoded
+    for n_instances in (1, 2):  # without and with the instance column
+        keys = op._child_keys(children, np.zeros(2, dtype=np.int64), n_instances, 2 * k)
+        assert keys.dtype == np.uint64
+        assert list(op._first_distinct(keys)) == [0, 1]
+    # K=10: one word holds the instance above the 20 node bits
+    keys = op._child_keys(np.zeros((3, 1), dtype=np.uint64), np.array([0, 1, 1]), 2, 20)
+    assert keys.ndim == 1 and list(op._first_distinct(keys)) == [0, 1]
 
 
 def test_batch_of_nothing():

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ from sensefuse import analytic as an
 from sensefuse import experiments as ex
 from sensefuse.cli import cli_entry
 from sensefuse.model import ValidationError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _read_rows(path):
@@ -304,3 +310,71 @@ def test_write_rows_csv_refuses_empty_table(tmp_path):
 def test_greedy_studies_reject_zero_instances(name):
     with pytest.raises(ValidationError, match="n_sim"):
         ex.run_experiment(ex.ExperimentSpec(name, {"n_sim": "0"}))
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("name, params", [
+    ("tables_limits", {}),
+    ("crossover_roots", {"gamma_total": "0.5"}),
+])
+def test_json_output_is_strict(tmp_path, name, params):
+    # non-finite floats are written as the CSV writes them, never as the
+    # bare Infinity/NaN tokens that RFC 8259 parsers reject
+    spec = ex.ExperimentSpec(name, params)
+    text = ex.run_experiment(spec, seed=3, fmt="json",
+                             out=str(tmp_path / "t.json")).read_text()
+    rows = json.loads(text, parse_constant=_reject_constant)["rows"]
+    csv_rows = _read_rows(ex.run_experiment(spec, seed=3, out=str(tmp_path / "t.csv")))
+    non_finite = 0
+    for row, csv_row in zip(rows, csv_rows, strict=True):
+        for field, value in row.items():
+            if isinstance(value, str) and value in ("inf", "-inf", "nan"):
+                non_finite += 1
+                assert csv_row[field] == value
+    assert non_finite > 0
+
+
+def test_cli_solve_json_is_strict(capsys):
+    # the distortion of a search over these SNRs overflows to NaN (see the
+    # overflow case below); the JSON writes it as the string "nan"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = cli_entry(["solve", "--algo", "global", "--gamma-ob", "1e200,5",
+                        "--gamma-ch", "1e200,5", "--format", "json"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert payload["distortion"] == "nan"
+
+
+def _fresh_process(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "sensefuse.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_global_search_overflow_output_unchanged():
+    # SNRs above ~1e154 overflow the link terms (a known limit of the closed
+    # forms); the exhaustive search's pick on the resulting NaNs stays as it was
+    out = _fresh_process(["solve", "--algo", "global", "--gamma-ob", "1e200,5",
+                          "--gamma-ch", "1e200,5"])
+    assert out == "policy 11  D = nan  (4 evaluations)\n"
+
+
+def test_cli_parser_reuse_leaks_no_defaults(capsys):
+    # the parser is built once per process: a run after a run with other
+    # flags must print what a fresh process prints
+    model = ["--gamma-ob", "7,3,12,0.5", "--gamma-ch", "5,8,2,20"]
+    calls = [
+        ["solve", *model, "--group-size", "4", "--format", "json"],
+        ["validate", *model, "--policy", "1010", "--trials", "1000", "--seed", "3"],
+        ["solve", *model],
+    ]
+    for argv in calls:
+        assert cli_entry(argv) == 0
+        assert capsys.readouterr().out == _fresh_process(argv)

@@ -169,3 +169,33 @@ def test_policy_error_rate_counting():
     assert op.policy_error_rate(a, comp) == 1.0
     with pytest.raises(ValidationError):
         op.policy_error_rate(a, [CodingPolicy((1, 0))])
+
+
+@pytest.mark.parametrize("dist", [
+    [3.0, 1.0, 2.0, 1.0, 5.0, 1.0, 4.0, 1.0],           # exact ties
+    [np.inf, 2.0, np.inf, 2.0, 7.0, np.inf, 2.0, 9.0],
+    [np.nan, 4.0, np.nan, 4.0, np.inf, 4.0, np.nan, 8.0],
+    [np.nan, np.inf, np.nan, np.inf, np.inf, np.nan, np.nan, np.nan],
+    [np.nan] * 8,
+    [np.inf] * 8,
+    [-np.inf, 1.0, -np.inf, np.nan, 0.0, -0.0, 0.0, np.inf],
+    [1.0] * 8,
+])
+def test_exhaustive_pick_matches_a_full_lexsort(dist):
+    k = 3
+    dist = np.array(dist)
+    codes = np.arange(1 << k, dtype=np.int64)
+    pick, preference = op._first_best(dist, codes, k)
+    want = np.lexsort((op._preference(codes, k), dist))[0]
+    assert pick == want
+    assert preference == op._preference(codes, k)[want]
+
+
+def test_exhaustive_pick_matches_a_full_lexsort_on_random_ties(rng):
+    k = 6
+    codes = np.arange(1 << k, dtype=np.int64)
+    full = op._preference(codes, k)
+    choices = np.array([1.0, 2.0, np.inf, np.nan])
+    for _ in range(300):
+        dist = rng.choice(choices, size=1 << k, p=[0.2, 0.2, 0.3, 0.3])
+        assert op._first_best(dist, codes, k)[0] == np.lexsort((full, dist))[0]
