@@ -30,9 +30,9 @@ from .model import (
     CodingPolicy,
     SystemModel,
     ValidationError,
+    _require_positive_finite,
     check_policy,
     derived_noise_powers,
-    validate,
 )
 
 __all__ = [
@@ -95,8 +95,7 @@ def quantization_cross_moments(sigma_theta_sq: float, sigma_ob_sq: float,
     for name, v in (("sigma_theta_sq", sigma_theta_sq),
                     ("sigma_ob_sq", sigma_ob_sq),
                     ("sigma_qu_sq", sigma_qu_sq)):
-        if not (v > 0) or math.isinf(v):
-            raise ValidationError(f"nonpositive or non-finite {name}: {v!r}")
+        _require_positive_finite(v, name)
     denom = sigma_ob_sq + sigma_theta_sq
     return sigma_ob_sq * sigma_qu_sq / denom, sigma_theta_sq * sigma_qu_sq / denom
 
@@ -109,7 +108,6 @@ def total_noise_covariance(model: SystemModel) -> np.ndarray:
     through the source: sigma_theta^2 sigma_qu_k^2 sigma_qu_j^2 /
     ((sigma_theta^2 + sigma_ob_k^2)(sigma_theta^2 + sigma_ob_j^2)).
     """
-    validate(model)
     st = model.sigma_theta_sq
     k_nodes = model.n_nodes
     ob = np.empty(k_nodes)
@@ -129,21 +127,11 @@ def hybrid_noise_covariance(model: SystemModel, policy: CodingPolicy) -> np.ndar
     mutually independent with per-node power sigma_theta^2 d_k; the two
     blocks are uncorrelated.
     """
-    validate(model)
-    check_policy(model, policy)
-    st = model.sigma_theta_sq
-    n = model.n_nodes
-    full = total_noise_covariance(model)
-    cov = np.zeros((n, n))
-    coded = [k for k in range(n) if policy.rho[k] == 1]
-    for i in coded:
-        for j in coded:
-            cov[i, j] = full[i, j]
-    for k in range(n):
-        if policy.rho[k] == 0:
-            g = model.links[k]
-            d_k = 1.0 / g.gamma_ob + 1.0 / g.gamma_ch + 1.0 / (g.gamma_ob * g.gamma_ch)
-            cov[k, k] = st * d_k
+    coded = np.array(check_policy(model, policy).rho, dtype=bool)
+    uncoded = ~coded
+    cov = np.where(np.outer(coded, coded), total_noise_covariance(model), 0.0)
+    cov[uncoded, uncoded] = model.sigma_theta_sq * _uncoded_noise(
+        model.gamma_ob_array()[uncoded], model.gamma_ch_array()[uncoded])
     return cov
 
 
@@ -245,7 +233,6 @@ def coded_hetero_distortion(model: SystemModel) -> float:
     D = sigma_theta^2 (sum 1/lambda_k
         - (sum u_k/lambda_k)^2 / (1 + sum u_k^2/lambda_k))^-1.
     """
-    validate(model)
     return float(_coded_distortion_rows(model.gamma_ob_array(), model.gamma_ch_array(),
                                         model.sigma_theta_sq))
 
@@ -272,7 +259,6 @@ def coded_homo_distortion_limit(gamma_ch: float, sigma_theta_sq: float = 1.0) ->
 
 def uncoded_hetero_distortion(model: SystemModel) -> float:
     """Amplify-and-forward distortion: D = sigma_theta^2 (sum_k 1/d_k)^-1."""
-    validate(model)
     return float(_uncoded_distortion_rows(model.gamma_ob_array(), model.gamma_ch_array(),
                                           model.sigma_theta_sq))
 
@@ -293,7 +279,6 @@ def hybrid_distortion(model: SystemModel, policy: CodingPolicy) -> DistortionBre
     An all-ones policy reduces to the all-coded heterogeneous form and an
     all-zeros policy to the amplify-and-forward form.
     """
-    validate(model)
     check_policy(model, policy)
     return _hybrid_breakdown(link_terms(model), model.sigma_theta_sq, policy.rho)
 
@@ -467,7 +452,6 @@ def coded_wins_hetero(model: SystemModel) -> bool:
     boundary) both are recomputed in exact rational arithmetic, where they
     coincide identically.
     """
-    validate(model)
     gob = [ln.gamma_ob for ln in model.links]
     gch = [ln.gamma_ch for ln in model.links]
 
@@ -579,7 +563,6 @@ def sherman_morrison_check(model: SystemModel) -> float:
     The covariance decomposes as Lambda + b u u^T with Lambda =
     sigma_theta^2 diag(lambda_k), u_k = 1/(1+gamma_ch_k), b = sigma_theta^2.
     """
-    validate(model)
     if model.n_nodes > 64:
         raise ValidationError("rank-one check is limited to K <= 64")
     gob = model.gamma_ob_array()

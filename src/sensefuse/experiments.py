@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import analytic, optimize, simulate
-from .model import SystemModel, ValidationError
+from .model import SystemModel, ValidationError, _require_positive_finite
 
 __all__ = [
     "ExperimentSpec",
@@ -100,6 +100,13 @@ def _get(params: dict, key: str, default, cast):
         raise ValidationError(f"bad value for parameter {key!r}: {params[key]!r}") from exc
 
 
+def _positive_float(text) -> float:
+    """Spec-file cast of every SNR, power, fading mean and spread."""
+    value = float(text)
+    _require_positive_finite(value, "parameter")
+    return value
+
+
 def _int_list(text) -> list[int]:
     if isinstance(text, (list, tuple)):
         return [int(v) for v in text]
@@ -123,11 +130,11 @@ def _k_range(params: dict, default_min: int, default_max: int) -> range:
 
 def _instance_specs(params: dict):
     ch = simulate.FoldedNormalSpec(
-        target_mean=_get(params, "gamma_ch", _DEFAULT_CH_SPEC.target_mean, float),
-        std_dev=_get(params, "sigma1", _DEFAULT_CH_SPEC.std_dev, float))
+        target_mean=_get(params, "gamma_ch", _DEFAULT_CH_SPEC.target_mean, _positive_float),
+        std_dev=_get(params, "sigma1", _DEFAULT_CH_SPEC.std_dev, _positive_float))
     ob = simulate.FoldedNormalSpec(
-        target_mean=_get(params, "gamma_ob", _DEFAULT_OB_SPEC.target_mean, float),
-        std_dev=_get(params, "sigma2", _DEFAULT_OB_SPEC.std_dev, float))
+        target_mean=_get(params, "gamma_ob", _DEFAULT_OB_SPEC.target_mean, _positive_float),
+        std_dev=_get(params, "sigma2", _DEFAULT_OB_SPEC.std_dev, _positive_float))
     return ch, ob
 
 
@@ -137,10 +144,10 @@ def _instance_specs(params: dict):
 
 def _fig3_d_vs_k(params: dict, seed: int):
     ks = _k_range(params, 1, 30)
-    gob = _get(params, "gamma_ob", 7.0, float)
-    gch = _get(params, "gamma_ch", 5.0, float)
-    gt = _get(params, "gamma_total", 5.0, float)
-    st = _get(params, "sigma_theta_sq", 1.0, float)
+    gob = _get(params, "gamma_ob", 7.0, _positive_float)
+    gch = _get(params, "gamma_ch", 5.0, _positive_float)
+    gt = _get(params, "gamma_total", 5.0, _positive_float)
+    st = _get(params, "sigma_theta_sq", 1.0, _positive_float)
     rows = []
     for k in ks:
         d_ct, d_ut = analytic.total_power_distortions(k, gob, gt, st)
@@ -158,9 +165,9 @@ def _fig3_d_vs_k(params: dict, seed: int):
 def _fig4_snr_surface(params: dict, seed: int):
     k = _get(params, "k", 3, int)
     grid = _get(params, "grid", 40, int)
-    lo = _get(params, "snr_min", 0.1, float)
-    hi = _get(params, "snr_max", 100.0, float)
-    st = _get(params, "sigma_theta_sq", 1.0, float)
+    lo = _get(params, "snr_min", 0.1, _positive_float)
+    hi = _get(params, "snr_max", 100.0, _positive_float)
+    st = _get(params, "sigma_theta_sq", 1.0, _positive_float)
     snrs = np.geomspace(lo, hi, grid)
     rows = []
     for gob in snrs:
@@ -177,15 +184,11 @@ def _fig4_snr_surface(params: dict, seed: int):
 
 def _fig5_fading(params: dict, seed: int):
     ks = _k_range(params, 1, 30)
-    nu = _get(params, "nu", 0.9, float)
-    gch = _get(params, "gamma_ch", 5.0, float)
-    gob = _get(params, "gamma_ob", 7.0, float)
-    sigma1 = _get(params, "sigma1", 1.5, float)
-    sigma2 = _get(params, "sigma2", 1.5, float)
+    nu = _get(params, "nu", 0.9, _positive_float)
+    ch_spec, ob_spec = _instance_specs(params)
+    gch, gob = ch_spec.target_mean, ob_spec.target_mean
     n_blocks = _get(params, "n_blocks", 200_000, int)
-    st = _get(params, "sigma_theta_sq", 1.0, float)
-    ch_spec = simulate.FoldedNormalSpec(gch, sigma1)
-    ob_spec = simulate.FoldedNormalSpec(gob, sigma2)
+    st = _get(params, "sigma_theta_sq", 1.0, _positive_float)
     rows = []
     for k in ks:
         homo = SystemModel.homogeneous(k, gob, gch, st)
@@ -369,9 +372,9 @@ def _fig8_random_errors(params: dict, seed: int):
 
 def _tables_limits(params: dict, seed: int):
     k = _get(params, "k", 4, int)
-    gob = _get(params, "gamma_ob", 7.0, float)
-    gch = _get(params, "gamma_ch", 5.0, float)
-    st = _get(params, "sigma_theta_sq", 1.0, float)
+    gob = _get(params, "gamma_ob", 7.0, _positive_float)
+    gch = _get(params, "gamma_ch", 5.0, _positive_float)
+    st = _get(params, "sigma_theta_sq", 1.0, _positive_float)
     rows = []
     for scheme in ("coded", "uncoded"):
         for ob_regime in ("inf", "finite", "zero"):
@@ -393,9 +396,9 @@ def _tables_limits(params: dict, seed: int):
 
 
 def _crossover_roots(params: dict, seed: int):
-    gob = _get(params, "gamma_ob", 7.0, float)
-    gch = _get(params, "gamma_ch", 5.0, float)
-    gt = _get(params, "gamma_total", 5.0, float)
+    gob = _get(params, "gamma_ob", 7.0, _positive_float)
+    gch = _get(params, "gamma_ch", 5.0, _positive_float)
+    gt = _get(params, "gamma_total", 5.0, _positive_float)
     rows = []
     for constraint, snr, find_root in (
             ("individual", gch, analytic.crossover_node_count),

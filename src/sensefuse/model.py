@@ -50,6 +50,9 @@ class SystemModel:
         Per-node SNR pairs, length K >= 1.
     bandwidth : float
         Signal bandwidth W in Hz; only the rate computations consume it.
+
+    A model is checked once, when it is made (see :func:`validate`), so
+    every model that exists is valid and no consumer checks it again.
     """
 
     sigma_theta_sq: float
@@ -58,6 +61,7 @@ class SystemModel:
 
     def __post_init__(self):
         object.__setattr__(self, "links", tuple(self.links))
+        validate(self)
 
     @property
     def n_nodes(self) -> int:
@@ -78,7 +82,7 @@ class SystemModel:
                     sigma_theta_sq: float = 1.0, bandwidth: float = 1.0) -> "SystemModel":
         """K identical nodes and channels."""
         links = tuple(SensorLink(gamma_ob, gamma_ch) for _ in range(n_nodes))
-        return validate(cls(sigma_theta_sq, links, bandwidth))
+        return cls(sigma_theta_sq, links, bandwidth)
 
     @classmethod
     def from_snrs(cls, gamma_ob: Iterable[float], gamma_ch: Iterable[float],
@@ -90,7 +94,7 @@ class SystemModel:
             raise ValidationError(
                 f"SNR sequences have different lengths: {len(gob)} vs {len(gch)}")
         links = tuple(SensorLink(o, c) for o, c in zip(gob, gch))
-        return validate(cls(sigma_theta_sq, links, bandwidth))
+        return cls(sigma_theta_sq, links, bandwidth)
 
 
 @dataclass(frozen=True)
@@ -152,6 +156,8 @@ class PolicySearchResult:
 
 def validate(model: SystemModel) -> SystemModel:
     """Check every structural invariant; return the model unchanged.
+
+    Every :class:`SystemModel` runs this check once, when it is made.
 
     Raises
     ------

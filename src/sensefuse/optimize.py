@@ -46,7 +46,6 @@ from .model import (
     PolicySearchResult,
     SystemModel,
     ValidationError,
-    validate,
 )
 
 __all__ = [
@@ -96,7 +95,7 @@ def _search_by_size(models: Sequence[SystemModel], search) -> list[PolicySearchR
 
 def global_search_batch(models: Sequence[SystemModel]) -> list[PolicySearchResult]:
     """:func:`global_search` of every model, in input order."""
-    models = [validate(m) for m in models]
+    models = list(models)
     for m in models:
         if m.n_nodes > GLOBAL_SEARCH_MAX_NODES:
             raise ValidationError(
@@ -162,7 +161,7 @@ def _global_policies(terms, st):
 def group_greedy_batch(models: Sequence[SystemModel],
                        group_size: int) -> list[PolicySearchResult]:
     """:func:`group_greedy` of every model, in input order."""
-    models = [validate(m) for m in models]
+    models = list(models)
     if group_size < 1:
         raise ValidationError(f"group size must be >= 1, got {group_size}")
     return _search_by_size(models, lambda terms, st: _beam_policies(terms, st, group_size))
@@ -250,7 +249,7 @@ def _select_children(cand, inst, rows, words, choice_words, group_size: int, ste
     # a child repeats at most once per assigned node (once per parent it
     # extends), so a head of group_size * (step + 1) always suffices
     bound = group_size * (step + 1)
-    if group_size >= math.comb(k, step + 1) << (step + 1):
+    if group_size >= _partial_policy_count(k, step + 1):
         head = n_open  # the group holds every partial policy of the next size
     else:
         head = min(2 * group_size, bound) if dedup else group_size
@@ -357,7 +356,12 @@ def _beam_policies(terms, st, group_size: int):
 def exhaustive_group_size(n_nodes: int) -> int:
     """Smallest group size that provably turns the group greedy search into
     an exhaustive one: max_k C(K, k) 2^k distinct partial policies."""
-    return max(math.comb(n_nodes, j) * (2 ** j) for j in range(n_nodes + 1))
+    return max(_partial_policy_count(n_nodes, j) for j in range(n_nodes + 1))
+
+
+def _partial_policy_count(n_nodes: int, size: int) -> int:
+    """C(K, size) 2^size: the partial policies that assign ``size`` nodes."""
+    return math.comb(n_nodes, size) << size
 
 
 def sorted_greedy(model: SystemModel, ranking: str = "coded") -> PolicySearchResult:
@@ -369,7 +373,6 @@ def sorted_greedy(model: SystemModel, ranking: str = "coded") -> PolicySearchRes
     order: "coded" (default, consistent with the coded scheme being optimal
     for a single node) or "uncoded" (amplify-and-forward).
     """
-    validate(model)
     if ranking not in ("coded", "uncoded"):
         raise ValidationError(f"unknown ranking {ranking!r}")
     k = model.n_nodes

@@ -26,7 +26,7 @@ independent streams that could be consumed in any partition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
@@ -36,8 +36,8 @@ from .model import (
     CodingPolicy,
     SystemModel,
     ValidationError,
+    _require_positive_finite,
     check_policy,
-    validate,
 )
 
 __all__ = [
@@ -65,8 +65,9 @@ class TrialBatchStats:
 
     ``std_error`` is the sample standard deviation of the per-trial values
     divided by sqrt(n_trials).  ``converged`` flags heavy-tail domination
-    (a batch whose mean is still drifting with the sample size); it is the
-    top-1%-share heuristic and stays True for every finite-variance target.
+    (a batch whose mean is still drifting with the sample size): it is False
+    when the Hill estimate of the tail index on the top 1% of the samples is
+    at most 1.5, and stays True for every finite-variance target.
     """
 
     n_trials: int
@@ -96,8 +97,7 @@ def _chunk_streams(seed: int, n_items: int):
 
 def folded_normal_mean(mu: float, sigma: float) -> float:
     """Mean of |N(mu, sigma^2)|."""
-    if sigma <= 0:
-        raise ValidationError(f"nonpositive std_dev: {sigma!r}")
+    _require_positive_finite(sigma, "std_dev")
     return (sigma * math.sqrt(2.0 / math.pi) * math.exp(-mu * mu / (2.0 * sigma * sigma))
             + mu * math.erf(mu / (sigma * math.sqrt(2.0))))
 
@@ -109,8 +109,7 @@ def folded_normal_location(target_mean: float, std_dev: float) -> float:
     and is strictly increasing for mu >= 0, so the root is bracketed on
     [0, target_mean + 10 sigma] whenever it exists.
     """
-    if target_mean <= 0:
-        raise ValidationError(f"nonpositive target_mean: {target_mean!r}")
+    _require_positive_finite(target_mean, "target_mean")
     floor = folded_normal_mean(0.0, std_dev)
     if target_mean < floor * (1.0 - 1e-12):
         raise ValidationError(
@@ -128,13 +127,19 @@ def folded_normal_location(target_mean: float, std_dev: float) -> float:
 @dataclass(frozen=True)
 class FoldedNormalSpec:
     """Folded normal |N(mu, std_dev^2)| with mu calibrated so the
-    distribution mean equals ``target_mean``."""
+    distribution mean equals ``target_mean``.
+
+    The spec is checked, and its ``location`` mu solved, once when it is
+    made: a bad parameter or an unreachable mean raises there.
+    """
 
     target_mean: float
     std_dev: float
+    location: float = field(init=False, compare=False, repr=False)
 
-    def location(self) -> float:
-        return folded_normal_location(self.target_mean, self.std_dev)
+    def __post_init__(self):
+        object.__setattr__(self, "location",
+                           folded_normal_location(self.target_mean, self.std_dev))
 
 
 def generate_instance(n_nodes: int, ch_spec: FoldedNormalSpec,
@@ -145,10 +150,8 @@ def generate_instance(n_nodes: int, ch_spec: FoldedNormalSpec,
     if n_nodes < 1:
         raise ValidationError(f"node count must be >= 1, got {n_nodes}")
     rng = _philox(np.random.SeedSequence(seed))
-    mu_ch = ch_spec.location()
-    mu_ob = ob_spec.location()
-    gch = np.abs(mu_ch + ch_spec.std_dev * rng.standard_normal(n_nodes))
-    gob = np.abs(mu_ob + ob_spec.std_dev * rng.standard_normal(n_nodes))
+    gch = np.abs(ch_spec.location + ch_spec.std_dev * rng.standard_normal(n_nodes))
+    gob = np.abs(ob_spec.location + ob_spec.std_dev * rng.standard_normal(n_nodes))
     return SystemModel.from_snrs(gob, gch, sigma_theta_sq=sigma_theta_sq)
 
 
@@ -210,8 +213,6 @@ def empirical_distortion(model: SystemModel, policy: CodingPolicy,
     :func:`sample_recovery`, fuse with the weights of the hybrid block
     covariance, and accumulate the squared error.
     """
-    validate(model)
-    check_policy(model, policy)
     if n_trials < 2:
         raise ValidationError(
             f"n_trials must be >= 2 for a standard error, got {n_trials}")
@@ -246,7 +247,6 @@ def fading_empirical_distortion(model: SystemModel, nu: float, n_blocks: int,
     The uncoded scheme has no finite average (instantaneous distortion
     scales like 1/h near h = 0), which the ``converged`` flag reports.
     """
-    validate(model)
     if not nu > 0:
         raise ValidationError(f"nonpositive fading mean: {nu!r}")
     if scheme not in ("coded", "uncoded"):

@@ -1,8 +1,22 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from sensefuse import simulate
 from sensefuse.experiments import derive_seed
+
+# property tests draw the same examples on every run, keep no example
+# database on disk and have no per-example time limit
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
+# hypothesis also caches the constants it finds in the tested modules, at
+# collection time and whatever the database; keep that cache out of the
+# checkout, in a directory removed when the session ends
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 CH_SPEC = simulate.FoldedNormalSpec(target_mean=5.0, std_dev=1.5)
 OB_SPEC = simulate.FoldedNormalSpec(target_mean=7.0, std_dev=1.5)

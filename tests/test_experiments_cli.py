@@ -300,6 +300,26 @@ def test_cli_bad_input_gives_one_line_error(tmp_path, capsys, argv, needle):
     assert needle in err
 
 
+@pytest.mark.parametrize("experiment, key, value", [
+    ("crossover_roots", "gamma_ob", "0"),
+    ("tables_limits", "gamma_ch", "0"),
+    ("fig4_snr_surface", "snr_min", "-1"),
+    ("fig3_d_vs_k", "gamma_ob", "-7"),
+    ("fig3_d_vs_k", "gamma_total", "nan"),
+])
+def test_cli_run_rejects_nonpositive_or_nonfinite_parameter(tmp_path, capsys, experiment,
+                                                            key, value):
+    spec = tmp_path / "bad.spec"
+    spec.write_text(f"experiment = {experiment}\n{key} = {value}\n")
+    out = tmp_path / "rows.csv"
+    rc = cli_entry(["run", str(spec), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert repr(key) in err
+    assert not out.exists()
+
+
 def test_write_rows_csv_refuses_empty_table(tmp_path):
     with pytest.raises(ValidationError, match="no rows"):
         ex.write_rows_csv(tmp_path / "empty.csv", [])

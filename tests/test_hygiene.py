@@ -59,3 +59,18 @@ def _unused_imports(source: str) -> list[str]:
 def test_no_unused_imports(name):
     source = (PACKAGE_DIR / f"{name}.py").read_text(encoding="utf-8")
     assert _unused_imports(source) == []
+
+
+def test_validate_is_called_only_in_model():
+    # models check themselves when they are made, so no other module
+    # re-checks one it is given
+    callers = set()
+    for name in MODULES:
+        tree = ast.parse((PACKAGE_DIR / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == "validate":
+                    callers.add(name)
+    assert callers == {"model"}
