@@ -25,7 +25,6 @@ root_ind = an.crossover_node_count(GAMMA_OB, GAMMA_CH)
 root_tot = an.crossover_node_count_total(GAMMA_OB, GAMMA_TOTAL)
 print(f"uncoded takes over beyond K = {root_ind:.5f} (individual power)")
 print(f"                    and K = {root_tot:.5f} (total power)")
-print(f"closed-form bound agrees: K_max = {an.coded_max_nodes(GAMMA_OB, GAMMA_CH):.5f}")
 print(f"coded asymptote  : {an.coded_homo_distortion_limit(GAMMA_CH):.5f} "
       "(quantization-noise correlation floor)")
 

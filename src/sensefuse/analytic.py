@@ -23,7 +23,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 import scipy.special
 
 from .model import (
@@ -369,8 +368,7 @@ def total_power_distortions(n_nodes: float, gamma_ob: float, gamma_total: float,
     """(coded, uncoded) distortions when K P = P_total is fixed.
 
     Equivalent to the individual-power formulas with gamma_ch =
-    gamma_total / K; accepts fractional K so crossover roots can be located
-    in continuous node count.
+    gamma_total / K; accepts fractional K (continuous node count).
     """
     if n_nodes <= 0:
         raise ValidationError(f"node count must be positive, got {n_nodes}")
@@ -399,77 +397,54 @@ def coded_wins_homo(n_nodes: int, gamma_ob: float, gamma_ch: float) -> bool:
     """True iff the coded scheme strictly beats the uncoded one
     (homogeneous, individual power).
 
-    For K <= 2 the coded scheme always wins.  For K >= 3 the condition is
-    gamma_ob ((K-2) gamma_ch - 1) < (gamma_ch+1)(2 gamma_ch+1), evaluated
-    exactly on the float inputs so boundary verdicts never flip from
-    rounding; when (K-2) gamma_ch <= 1 it holds vacuously.  Exact ties
-    (equal distortions) count as a loss for the coded scheme.
+    The condition is gamma_ob ((K-2) gamma_ch - 1) < (gamma_ch+1)(2 gamma_ch+1),
+    evaluated exactly on the float (or ``Fraction``) inputs so boundary
+    verdicts never flip from rounding.  It holds for every K <= 2, and
+    whenever (K-2) gamma_ch <= 1.  Exact ties (equal distortions) count as
+    a loss for the coded scheme.
     """
     if n_nodes < 1:
         raise ValidationError(f"node count must be >= 1, got {n_nodes}")
-    if n_nodes <= 2:
-        return True
     gob = Fraction(gamma_ob)
     gch = Fraction(gamma_ch)
     return gob * ((n_nodes - 2) * gch - 1) < (gch + 1) * (2 * gch + 1)
 
 
 def coded_wins_total(n_nodes: int, gamma_ob: float, gamma_total: float) -> bool:
-    """Total-power analogue of :func:`coded_wins_homo`:
-    gamma_ob ((K^2-2K) gamma_total - K^2) < (gamma_total+K)(2 gamma_total+K)."""
+    """Total-power analogue of :func:`coded_wins_homo`: the homogeneous
+    condition at gamma_ch = gamma_total / K, taken exactly."""
     if n_nodes < 1:
         raise ValidationError(f"node count must be >= 1, got {n_nodes}")
-    if n_nodes <= 2:
-        return True
-    k = n_nodes
-    gob = Fraction(gamma_ob)
-    gt = Fraction(gamma_total)
-    return gob * ((k * k - 2 * k) * gt - k * k) < (gt + k) * (2 * gt + k)
+    return coded_wins_homo(n_nodes, gamma_ob, Fraction(gamma_total) / n_nodes)
 
 
 def _hetero_condition_sums(gob, gch):
     """(sum q_k, sum s_k) with q_k = g_ob/((1+g_ch+g_ob) g_ch) and
     s_k = g_ob/(1+g_ch+g_ob); works for float or Fraction sequences."""
-    q = s = None
-    for o, c in zip(gob, gch):
-        denom = 1 + c + o
-        qk = o / (denom * c)
-        sk = o / denom
-        q = qk if q is None else q + qk
-        s = sk if s is None else s + sk
-    return q, s
+    return (sum(o / ((1 + c + o) * c) for o, c in zip(gob, gch)),
+            sum(o / (1 + c + o) for o, c in zip(gob, gch)))
 
 
 def coded_wins_hetero(model: SystemModel) -> bool:
-    """True iff the all-coded scheme strictly beats all-uncoded on this model.
+    """True iff the all-coded scheme strictly beats all-uncoded on this model:
+    q + 2 s > s^2, with q and s the sums of :func:`_hetero_condition_sums`.
 
-    Evaluates the primary condition
-        sum (1+2 g_ch) g_ob / ((1+g_ch+g_ob) g_ch) > (sum g_ob/(1+g_ch+g_ob))^2
-    and its rearranged equivalent
-        sum g_ob / ((1+g_ch+g_ob) g_ch) + 1 > (sum g_ob/(1+g_ch+g_ob) - 1)^2,
-    asserting that the two verdicts agree.  When floating evaluation of the
-    two forms disagrees (possible only within rounding distance of the
-    boundary) both are recomputed in exact rational arithmetic, where they
-    coincide identically.
+    The margin q + 2s - s^2 is computed in floats and trusted when it
+    exceeds its rounding bound 4 (K+8) eps (q + 2s + s^2); otherwise, or
+    when an SNR lies outside 1e-150..1e150 (where a float step could
+    overflow, or underflow by more than the bound), it is recomputed in
+    exact rational arithmetic.  So the verdict is exact for every valid
+    model.  Exact ties count as a loss for the coded scheme.
     """
     gob = [ln.gamma_ob for ln in model.links]
     gch = [ln.gamma_ch for ln in model.links]
-
-    def verdicts(q, s):
-        primary = q + 2 * s > s * s
-        rearranged = q + 1 > (s - 1) * (s - 1)
-        return primary, rearranged
-
-    q, s = _hetero_condition_sums(gob, gch)
-    primary, rearranged = verdicts(q, s)
-    if primary != rearranged:
-        q, s = _hetero_condition_sums(
-            [Fraction(x) for x in gob], [Fraction(x) for x in gch])
-        primary, rearranged = verdicts(q, s)
-    if primary != rearranged:
-        raise AssertionError(
-            "equivalent heterogeneous conditions disagree under exact arithmetic")
-    return primary
+    if 1e-150 <= min(gob + gch) and max(gob + gch) <= 1e150:
+        q, s = _hetero_condition_sums(gob, gch)
+        margin = q + 2.0 * s - s * s
+        if abs(margin) > 4.0 * (len(gob) + 8) * math.ulp(1.0) * (q + 2.0 * s + s * s):
+            return margin > 0
+    q, s = _hetero_condition_sums([Fraction(x) for x in gob], [Fraction(x) for x in gch])
+    return q + 2 * s > s * s
 
 
 def gamma_ob_star(n_nodes: int) -> float:
@@ -498,57 +473,60 @@ def coded_region_channel_roots(n_nodes: int, gamma_ob: float
     return (base - root) / 4.0, (base + root) / 4.0
 
 
+# ---------------------------------------------------------------------------
+# crossover roots in continuous node count (exact rationals, rounded once)
+# ---------------------------------------------------------------------------
+
 def coded_max_nodes(gamma_ob: float, gamma_ch: float) -> float:
     """Largest (continuous) node count for which coded still wins:
-    K = 2 + 1/gamma_ch + (gamma_ch+1)(2 gamma_ch+1)/(gamma_ob gamma_ch)."""
-    return 2.0 + 1.0 / gamma_ch + (gamma_ch + 1.0) * (2.0 * gamma_ch + 1.0) / (
-        gamma_ob * gamma_ch)
+    K = 2 + 1/gamma_ch + (gamma_ch+1)(2 gamma_ch+1)/(gamma_ob gamma_ch),
+    the root of the homogeneous condition in K.  Evaluated exactly on the
+    float inputs and rounded once; ``inf`` above the float maximum."""
+    gob = Fraction(gamma_ob)
+    gch = Fraction(gamma_ch)
+    try:
+        return float(2 + 1 / gch + (gch + 1) * (2 * gch + 1) / (gob * gch))
+    except OverflowError:
+        return math.inf
 
-
-# ---------------------------------------------------------------------------
-# crossover roots in continuous node count
-# ---------------------------------------------------------------------------
 
 class _NoCrossover(ValidationError):
-    """Coded still wins at every node count the root bracket reaches."""
-
-
-def _crossover_root(delta) -> float:
-    """Root of the coded-minus-uncoded gap ``delta(k)`` on [1, hi], doubling
-    hi until the gap turns nonnegative."""
-    lo, hi = 1.0, 2.0
-    while delta(hi) < 0:
-        hi *= 2.0
-        if hi > 1e9:
-            raise _NoCrossover("no crossover: coded wins for every tested node count")
-    return scipy.optimize.brentq(delta, lo, hi, xtol=1e-10, rtol=1e-14)
+    """Coded beats uncoded at every node count (total power constraint)."""
 
 
 def crossover_node_count(gamma_ob: float, gamma_ch: float,
                          sigma_theta_sq: float = 1.0) -> float:
     """Continuous K where the homogeneous coded and uncoded distortions
-    cross (individual power constraint), found by bracketed root finding."""
-    d = _uncoded_noise(gamma_ob, gamma_ch)
-
-    def delta(k: float) -> float:
-        # (st/k) d, not uncoded_homo_distortion's (st d)/k, which rounds
-        # differently and moves the roots
-        uncoded = sigma_theta_sq / k * d
-        return coded_homo_distortion(k, gamma_ob, gamma_ch, sigma_theta_sq) - uncoded
-
-    return _crossover_root(delta)
+    cross (individual power constraint): :func:`coded_max_nodes`.  The root
+    exists for every positive SNR pair, because uncoded wins at large K;
+    sigma_theta^2 scales both distortions and cancels out."""
+    return coded_max_nodes(gamma_ob, gamma_ch)
 
 
 def crossover_node_count_total(gamma_ob: float, gamma_total: float,
                                sigma_theta_sq: float = 1.0) -> float:
-    """Continuous K where the total-power coded and uncoded distortions cross."""
-
-    def delta(k: float) -> float:
-        coded, uncoded = total_power_distortions(k, gamma_ob, gamma_total,
-                                                 sigma_theta_sq)
-        return coded - uncoded
-
-    return _crossover_root(delta)
+    """Continuous K where the total-power coded and uncoded distortions
+    cross: the positive root (b + sqrt(b^2 + 4ac)) / (2a) of a K^2 - b K - c,
+    where a = gamma_ob gamma_total - gamma_ob - 1, b = (2 gamma_ob + 3)
+    gamma_total and c = 2 gamma_total^2 (coded wins below it).  When a <= 0
+    coded wins at every node count and :class:`_NoCrossover` is raised.
+    Evaluated exactly on the float inputs, with the square root taken in
+    integers to 100 bits, and rounded once; ``inf`` above the float maximum.
+    sigma_theta^2 scales both distortions and cancels out."""
+    gob = Fraction(gamma_ob)
+    gt = Fraction(gamma_total)
+    a = gob * gt - gob - 1
+    if a <= 0:
+        raise _NoCrossover("no crossover: coded wins at every node count")
+    b = (2 * gob + 3) * gt
+    disc = b * b + 8 * a * gt * gt
+    # 2^k sqrt(disc) to the integer below, which has at least 100 bits
+    k = max(0, 100 - (disc.numerator.bit_length() - disc.denominator.bit_length()) // 2)
+    sqrt_disc = Fraction(math.isqrt(disc.numerator * 4 ** k // disc.denominator), 2 ** k)
+    try:
+        return float((b + sqrt_disc) / (2 * a))
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
+from hypothesis.internal.conjecture import providers
 
 from sensefuse import simulate
 from sensefuse.experiments import derive_seed
@@ -17,6 +18,12 @@ settings.load_profile("tier1")
 # checkout, in a directory removed when the session ends
 _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
 set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+# hypothesis also mixes into its draws the float, integer and string
+# literals it harvests from every imported non-test module, sensefuse's among
+# them, so editing a literal in the library would change the examples; draw
+# none (a hypothesis without the harvest has nothing to switch off)
+if hasattr(providers, "_get_local_constants"):
+    providers._get_local_constants = lambda: providers.Constants()
 
 CH_SPEC = simulate.FoldedNormalSpec(target_mean=5.0, std_dev=1.5)
 OB_SPEC = simulate.FoldedNormalSpec(target_mean=7.0, std_dev=1.5)

@@ -1,0 +1,139 @@
+"""The coded-vs-uncoded boundaries against exact rational arithmetic, over
+SNRs from 1e-300 to 1e308: the crossover node counts are the exact roots
+rounded once, and the heterogeneous condition gives the exact verdict."""
+
+import math
+import sys
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from sensefuse import analytic as an
+from sensefuse.model import SystemModel
+
+EPS = Fraction(math.ulp(1.0))
+FLOAT_MAX = Fraction(sys.float_info.max)
+CORNERS = [(x, y) for x in (1e-300, 1e300) for y in (1e-300, 1e300)]
+
+
+def _snr_pairs(seed, n, lo=-300.0, hi=300.0):
+    exponents = np.random.default_rng(seed).uniform(lo, hi, (n, 2))
+    return [(float(10.0 ** a), float(10.0 ** b)) for a, b in exponents] + CORNERS
+
+
+# ---------------------------------------------------------------------------
+# crossover node counts
+# ---------------------------------------------------------------------------
+
+def test_individual_crossover_is_the_exact_root_rounded_once():
+    for gob, gch in _snr_pairs(81, 2000):
+        o, c = Fraction(gob), Fraction(gch)
+        root = 2 + 1 / c + (c + 1) * (2 * c + 1) / (o * c)
+        # the root of the homogeneous condition o ((K-2) c - 1) = (c+1)(2c+1)
+        assert o * ((root - 2) * c - 1) == (c + 1) * (2 * c + 1)
+        got = an.crossover_node_count(gob, gch)
+        assert got == (math.inf if root > FLOAT_MAX else float(root)), (gob, gch)
+        assert an.coded_max_nodes(gob, gch) == got
+
+
+def _total_power_gap(o, g, k):
+    """k^2 times the homogeneous condition's uncoded-minus-coded margin at
+    gamma_ch = g/k: negative exactly where coded wins at k nodes."""
+    return o * ((k - 2) * k * g - k * k) - (g + k) * (2 * g + k)
+
+
+def _total_power_pairs():
+    rng = np.random.default_rng(82)
+    pairs = _snr_pairs(83, 2000)
+    # a = gamma_ob gamma_total - gamma_ob - 1 near 0, on both sides
+    for gob in 10.0 ** rng.uniform(-300.0, 300.0, 200):
+        gt = 1.0 + 1.0 / float(gob)
+        pairs += [(float(gob), gt + step * math.ulp(gt)) for step in range(-3, 4)]
+    return pairs
+
+
+def test_total_crossover_brackets_the_exact_root():
+    roots = no_crossover = 0
+    for gob, gt in _total_power_pairs():
+        o, g = Fraction(gob), Fraction(gt)
+        if o * g - o - 1 <= 0:
+            with pytest.raises(an._NoCrossover, match="no crossover"):
+                an.crossover_node_count_total(gob, gt)
+            no_crossover += 1
+            continue
+        got = an.crossover_node_count_total(gob, gt)
+        assert not math.isnan(got)
+        if got == math.inf:
+            # the exact root lies beyond the float maximum (to rounding)
+            assert _total_power_gap(o, g, FLOAT_MAX * (1 - 4 * EPS)) < 0, (gob, gt)
+        else:
+            k = Fraction(got)
+            assert (_total_power_gap(o, g, k * (1 - 4 * EPS)) < 0
+                    < _total_power_gap(o, g, k * (1 + 4 * EPS))), (gob, gt)
+        roots += 1
+    assert roots > 500 and no_crossover > 500
+
+
+def test_crossover_counts_at_the_paper_example():
+    assert an.crossover_node_count(7.0, 5.0) == float(
+        2 + Fraction(1, 5) + Fraction(66, 35))
+    assert an.crossover_node_count_total(7.0, 5.0) == 3.6548338013189103
+    # a crossover beyond 1e9 nodes is a root like any other
+    assert an.crossover_node_count(1e-9, 5.0) == 13200000002.199999
+
+
+# ---------------------------------------------------------------------------
+# heterogeneous condition
+# ---------------------------------------------------------------------------
+
+def _exact_hetero_verdict(gob, gch):
+    q = s = Fraction(0)
+    for o, c in zip(map(Fraction, gob), map(Fraction, gch)):
+        q += o / ((1 + c + o) * c)
+        s += o / (1 + c + o)
+    return q + 2 * s > s * s
+
+
+def _near_boundary_models(seed, n):
+    """Homogeneous boundary models perturbed per node by ~1e-15."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        k = int(rng.integers(3, 13))
+        gch = float(10.0 ** rng.uniform(-0.9, 3.0))
+        if (k - 2) * gch <= 1.0:
+            continue
+        gob = (gch + 1.0) * (2.0 * gch + 1.0) / ((k - 2) * gch - 1.0)
+        out.append(([float(x) for x in gob * (1.0 + 1e-15 * rng.standard_normal(k))],
+                    [float(x) for x in gch * (1.0 + 1e-15 * rng.standard_normal(k))]))
+    return out
+
+
+def _extreme_models(seed, n):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        k = int(rng.integers(1, 13))
+        out.append(([float(10.0 ** e) for e in rng.uniform(-300.0, 308.0, k)],
+                    [float(10.0 ** e) for e in rng.uniform(-300.0, 308.0, k)]))
+    return out
+
+
+@pytest.mark.parametrize("name, cases", [
+    ("near boundary", _near_boundary_models(84, 4000)),
+    ("extreme SNRs", _extreme_models(85, 2000) + [
+        # 1 + g_ch + g_ob overflows on the first five nodes
+        ([1e308] * 5 + [1.0], [1e308] * 5 + [1.0]),
+        # (1 + g_ch + g_ob) g_ch overflows on the last node
+        ([123.5, 123.5, 8e307], [100.0, 100.0, 3.0]),
+        # the subnormal node adds 1 to q
+        ([404.0] * 3 + [5e-324], [100.0] * 3 + [5e-324]),
+        ([5.5e-110], [3.9e224]),
+    ]),
+])
+def test_coded_wins_hetero_is_exact(name, cases):
+    wrong = [(gob, gch) for gob, gch in cases
+             if an.coded_wins_hetero(SystemModel.from_snrs(gob, gch))
+             != _exact_hetero_verdict(gob, gch)]
+    assert wrong == []

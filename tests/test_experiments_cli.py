@@ -260,6 +260,19 @@ def test_cli_crossover_roots_without_total_power_crossover(tmp_path, capsys):
         an.crossover_node_count_total(7.0, 0.5)
 
 
+@pytest.mark.parametrize("gamma_ch, gamma_total", [(1e300, 5.0), (5.0, 1e300), (1e-300, 5.0)])
+def test_cli_crossover_roots_at_extreme_snr(tmp_path, capsys, gamma_ch, gamma_total):
+    spec = tmp_path / "roots.spec"
+    spec.write_text(f"experiment = crossover_roots\ngamma_ch = {gamma_ch!r}\n"
+                    f"gamma_total = {gamma_total!r}\n")
+    out = tmp_path / "roots.csv"
+    assert cli_entry(["run", str(spec), "--out", str(out)]) == 0
+    rows = {r["constraint"]: float(r["root"]) for r in _read_rows(out)}
+    assert rows == {"individual": an.crossover_node_count(7.0, gamma_ch),
+                    "total": an.crossover_node_count_total(7.0, gamma_total)}
+    assert all(2.0 < root < math.inf for root in rows.values())
+
+
 def test_cli_run_byte_identical(tmp_path, capsys):
     spec_file = tmp_path / "fig3.spec"
     spec_file.write_text("experiment = fig3_d_vs_k\nk_max = 5\n")
@@ -306,6 +319,8 @@ def test_cli_bad_input_gives_one_line_error(tmp_path, capsys, argv, needle):
     ("fig4_snr_surface", "snr_min", "-1"),
     ("fig3_d_vs_k", "gamma_ob", "-7"),
     ("fig3_d_vs_k", "gamma_total", "nan"),
+    ("fig4_snr_surface", "grid", "-1"),
+    ("fig4_snr_surface", "grid", "0"),
 ])
 def test_cli_run_rejects_nonpositive_or_nonfinite_parameter(tmp_path, capsys, experiment,
                                                             key, value):

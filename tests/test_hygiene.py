@@ -1,5 +1,5 @@
-"""Package hygiene: exported names resolve and no module imports a name it
-never uses."""
+"""Package hygiene: exported names resolve, no module imports a name it
+never uses, and the property tests draw no literals from the library."""
 
 import ast
 import importlib
@@ -7,6 +7,7 @@ import pkgutil
 from pathlib import Path
 
 import pytest
+from hypothesis.internal.conjecture import providers
 
 import sensefuse
 
@@ -74,3 +75,11 @@ def test_validate_is_called_only_in_model():
                 if called == "validate":
                     callers.add(name)
     assert callers == {"model"}
+
+
+def test_property_examples_do_not_draw_library_literals():
+    # tests/conftest.py switches off hypothesis's harvest of literals from
+    # imported modules, so the tier-1 examples stay put when a literal in
+    # sensefuse changes
+    get_constants = getattr(providers, "_get_local_constants", None)
+    assert get_constants is None or len(get_constants()) == 0
