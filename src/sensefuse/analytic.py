@@ -459,18 +459,44 @@ def gamma_ob_star(n_nodes: int) -> float:
 def coded_region_channel_roots(n_nodes: int, gamma_ob: float
                                ) -> Optional[tuple[float, float]]:
     """Channel-SNR interval endpoints (gamma_ch1, gamma_ch2) where the
-    uncoded scheme wins; None when the discriminant
-    (K-2)^2 gamma_ob^2 - (6K-4) gamma_ob + 1 is negative (no real roots).
+    uncoded scheme wins: the roots of the homogeneous condition
+    2 g^2 - ((K-2) gamma_ob - 3) g + gamma_ob + 1 in g = gamma_ch.  None
+    when the discriminant (K-2)^2 gamma_ob^2 - (6K-4) gamma_ob + 1 is
+    negative (no real roots).
+
+    Evaluated exactly on the float input and rounded once, like the
+    crossover counts: the root r away from zero is (b +- sqrt(disc)) / 4,
+    taking the sign of b = (K-2) gamma_ob - 3, so it never cancels; the
+    other is (gamma_ob + 1) / (2 r), from the product of the roots.  A root
+    above the float maximum is ``inf``.
     """
     if n_nodes < 3:
         raise ValidationError(f"channel roots require K >= 3, got {n_nodes}")
-    k = float(n_nodes)
-    disc = (k - 2.0) ** 2 * gamma_ob ** 2 - (6.0 * k - 4.0) * gamma_ob + 1.0
+    gob = Fraction(gamma_ob)
+    base = (n_nodes - 2) * gob - 3
+    disc = base * base - 8 * (gob + 1)
     if disc < 0:
         return None
-    root = math.sqrt(disc)
-    base = (k - 2.0) * gamma_ob - 3.0
-    return (base - root) / 4.0, (base + root) / 4.0
+    root = _sqrt_to_100_bits(disc)
+    far = (base + root if base >= 0 else base - root) / 4
+    near = (gob + 1) / (2 * far)
+    g1, g2 = sorted((near, far))
+    return _rounded(g1), _rounded(g2)
+
+
+def _sqrt_to_100_bits(x: Fraction) -> Fraction:
+    """sqrt(x) rounded down to a dyadic rational of at least 100 significant
+    bits, from an integer square root."""
+    k = max(0, 100 - (x.numerator.bit_length() - x.denominator.bit_length()) // 2)
+    return Fraction(math.isqrt(x.numerator * 4 ** k // x.denominator), 2 ** k)
+
+
+def _rounded(x: Fraction) -> float:
+    """``x`` rounded once to a float; ``inf`` above the float maximum."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -484,10 +510,7 @@ def coded_max_nodes(gamma_ob: float, gamma_ch: float) -> float:
     float inputs and rounded once; ``inf`` above the float maximum."""
     gob = Fraction(gamma_ob)
     gch = Fraction(gamma_ch)
-    try:
-        return float(2 + 1 / gch + (gch + 1) * (2 * gch + 1) / (gob * gch))
-    except OverflowError:
-        return math.inf
+    return _rounded(2 + 1 / gch + (gch + 1) * (2 * gch + 1) / (gob * gch))
 
 
 class _NoCrossover(ValidationError):
@@ -519,14 +542,7 @@ def crossover_node_count_total(gamma_ob: float, gamma_total: float,
     if a <= 0:
         raise _NoCrossover("no crossover: coded wins at every node count")
     b = (2 * gob + 3) * gt
-    disc = b * b + 8 * a * gt * gt
-    # 2^k sqrt(disc) to the integer below, which has at least 100 bits
-    k = max(0, 100 - (disc.numerator.bit_length() - disc.denominator.bit_length()) // 2)
-    sqrt_disc = Fraction(math.isqrt(disc.numerator * 4 ** k // disc.denominator), 2 ** k)
-    try:
-        return float((b + sqrt_disc) / (2 * a))
-    except OverflowError:
-        return math.inf
+    return _rounded((b + _sqrt_to_100_bits(b * b + 8 * a * gt * gt)) / (2 * a))
 
 
 # ---------------------------------------------------------------------------

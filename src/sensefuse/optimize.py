@@ -18,16 +18,26 @@ by (distortion, node index, coded before uncoded, parent slot); the
 exhaustive search prefers more coded nodes and then the lexicographically
 smallest policy.
 
+The exhaustive search enumerates the 2^K policy codes in blocks of 4096
+on one policy mask (and its complement) per call: the low 12 bit columns
+are unpacked once, and each later block rewrites only its constant high
+columns.  A block's sums are still one matrix-vector product per instance
+and sum, so no distortion depends on the block size.  The pure greedy
+search scores all 2K (node, scheme) choices of a step in one
+``(instances, 2K)`` expression and closes a taken node by writing NaN into
+its increments.
+
 The searches rank by selection, not by sorting every candidate.  The
-exhaustive search takes each chunk's minimum distortion (finite before inf
+exhaustive search takes each block's minimum distortion (finite before inf
 before NaN) and computes the tie-break preference only for the policies
-tied at it.  At group size 1 each step is one ``argmin`` per instance.  At
-larger group sizes each instance's candidates are laid out in tie-break
-order, cut to a head with :func:`numpy.partition` and only the head is
-sorted.  The dedup head starts at twice the group size and doubles while an
-instance has fewer distinct children than the group holds, up to
-``group_size * (step + 1)``, which always suffices; when the group can hold
-every partial policy of the next size, the head is every candidate.
+tied at it; the blocks' picks are ranked the same way.  At group size 1
+each step is one ``argmin`` per instance.  At larger group sizes each
+instance's candidates are laid out in tie-break order, cut to a head with
+:func:`numpy.partition` and only the head is sorted.  The dedup head starts
+at twice the group size and doubles while an instance has fewer distinct
+children than the group holds, up to ``group_size * (step + 1)``, which
+always suffices; when the group can hold every partial policy of the next
+size, the head is every candidate.
 Children are deduplicated on packed (assigned, coded) node sets carried
 per beam row: one 64-bit key with the instance above the 2K node bits when
 that fits, else the instance and the packed words.
@@ -61,7 +71,7 @@ __all__ = [
 ]
 
 GLOBAL_SEARCH_MAX_NODES = 24
-_GLOBAL_CHUNK = 1 << 16
+_GLOBAL_CHUNK = 1 << 12
 _FLOAT_MAX = np.finfo(float).max
 
 
@@ -136,12 +146,25 @@ def _global_policies(terms, st):
     a, b, c, e = terms
     n, k = a.shape
     total = 1 << k
-    best = [None] * n  # (distortion, preference, code) per instance
-    for start in range(0, total, _GLOBAL_CHUNK):
-        codes = np.arange(start, min(start + _GLOBAL_CHUNK, total), dtype="<i8")
-        mask = np.unpackbits(codes.view(np.uint8).reshape(-1, 8), axis=1, count=k,
-                             bitorder="little").astype(float)
-        unmask = 1.0 - mask
+    rows = min(total, _GLOBAL_CHUNK)
+    low_bits = rows.bit_length() - 1  # the bit columns that vary within a block
+    # one mask pair per call: the low columns are unpacked once, the high
+    # ones start at zero, and each later block rewrites its constant high
+    # columns before forming their complement
+    mask = np.zeros((rows, k))
+    mask[:, :low_bits] = np.unpackbits(
+        np.arange(rows, dtype="<i8").view(np.uint8).reshape(-1, 8), axis=1, count=low_bits,
+        bitorder="little")
+    unmask = 1.0 - mask
+    # each block's first policy per instance; the first of those is the
+    # instance's, as the order (distortion, preference) is total
+    block_dist = np.empty((n, total // rows))
+    block_code = np.empty((n, total // rows), dtype=np.int64)
+    for block, start in enumerate(range(0, total, rows)):
+        codes = np.arange(start, start + rows, dtype=np.int64)
+        if start:
+            mask[:, low_bits:] = (start >> np.arange(low_bits, k)) & 1
+            np.subtract(1.0, mask[:, low_bits:], out=unmask[:, low_bits:])
         for i in range(n):
             # one matrix-vector product per instance: a stacked matrix product
             # sums in another order and would move the last bits
@@ -150,11 +173,12 @@ def _global_policies(terms, st):
             s_c = mask @ c[i]
             s_e = unmask @ e[i]
             dist = st[i] / (_coded_inverse_term(s_a, s_b, s_c) + s_e)
-            pick, preference = _first_best(dist, codes, k)
-            key = (dist[pick], preference, int(codes[pick]))
-            if best[i] is None or key < best[i]:
-                best[i] = key
-    for _, _, code in best:
+            pick, _ = _first_best(dist, codes, k)
+            block_dist[i, block] = dist[pick]
+            block_code[i, block] = codes[pick]
+    for dist, codes in zip(block_dist, block_code):
+        # a single block's pick needs no second ranking
+        code = int(codes[_first_best(dist, codes, k)[0] if len(codes) > 1 else 0])
         yield [(code >> j) & 1 for j in range(k)], (), total
 
 
@@ -290,9 +314,8 @@ def _beam_policies(terms, st, group_size: int):
     Beam rows of all instances are stacked, grouped by instance; ``inst``
     maps each row to its instance.  Each step evaluates every open
     expansion and keeps, per instance, the first ``group_size`` distinct
-    children in (distortion, node, coded first, parent slot) order: by an
-    ``argmin`` per instance at group size 1, else by
-    :func:`_select_children`.
+    children in (distortion, node, coded first, parent slot) order, by
+    :func:`_select_children`; group size 1 goes to :func:`_pure_policies`.
     """
     terms = np.stack(terms)  # (4, instances, nodes): a, b, c, e
     _, n, k = terms.shape
@@ -302,6 +325,9 @@ def _beam_policies(terms, st, group_size: int):
     grow[:3, :, :, 0] = terms[:3]
     grow[3, :, :, 1] = terms[3]
     grow = grow.reshape(4, n, 2 * k)
+    if group_size == 1:
+        yield from _pure_policies(grow, st)
+        return
     inst = np.arange(n)
     rows = np.ones(n, dtype=np.int64)  # beam rows per instance
     assign = np.full((n, k), -1, dtype=np.int8)
@@ -309,9 +335,9 @@ def _beam_policies(terms, st, group_size: int):
     # per row: sums of a, b, c over its coded nodes and of e over its uncoded ones
     sums = np.zeros((4, n))
     evaluations = np.zeros(n, dtype=np.int64)
-    if group_size > 1:  # packed (assigned, coded) node sets per row, for the dedup
-        choice_words = _choice_words(k)
-        words = np.zeros((n, choice_words.shape[1]), dtype=np.uint64)
+    # packed (assigned, coded) node sets per row, for the dedup
+    choice_words = _choice_words(k)
+    words = np.zeros((n, choice_words.shape[1]), dtype=np.uint64)
 
     for step in range(k):
         evaluations += 2 * (k - step) * rows
@@ -330,19 +356,13 @@ def _beam_policies(terms, st, group_size: int):
         cand[~np.isfinite(cand)] = np.inf
         cand[assign >= 0] = np.inf
 
-        if group_size == 1:  # one row per instance: its first minimum wins
-            table = cand.reshape(n, 2 * k)
-            choice = table.argmin(axis=1)
-            if table[inst, choice].max() == np.inf:
-                raise ValidationError("no finite candidate distortion for some instance")
-        else:
-            parent, choice, inst = _select_children(cand, inst, rows, words, choice_words,
-                                                    group_size, step)
-            rows = np.bincount(inst, minlength=n)
-            if not rows.all():
-                raise ValidationError("no finite candidate distortion for some instance")
-            words = words[parent] + choice_words[choice]
-            assign, order, sums = assign[parent], order[parent], sums[:, parent]
+        parent, choice, inst = _select_children(cand, inst, rows, words, choice_words,
+                                                group_size, step)
+        rows = np.bincount(inst, minlength=n)
+        if not rows.all():
+            raise ValidationError("no finite candidate distortion for some instance")
+        words = words[parent] + choice_words[choice]
+        assign, order, sums = assign[parent], order[parent], sums[:, parent]
         node, uncoded = np.divmod(choice, 2)
         assign[np.arange(len(inst)), node] = 1 - uncoded
         order[:, step] = node
@@ -351,6 +371,39 @@ def _beam_policies(terms, st, group_size: int):
     # rows of an instance are ascending in distortion; its first row wins
     for i, row in enumerate(np.cumsum(rows) - rows):
         yield assign[row].tolist(), order[row].tolist(), evaluations[i]
+
+
+def _pure_policies(grow, st):
+    """The beam engine at group size 1: one row per instance, so each step
+    is one ``argmin`` over the instance's 2K choices.
+
+    All choices are scored in one ``(instances, 2K)`` expression: a choice
+    adds 0.0 to the sums it leaves alone, which changes no bit.  A taken
+    node is closed by writing NaN into the instance's ``grow`` columns, and
+    the policies and visit orders are rebuilt from the choices at the end.
+    """
+    _, n, width = grow.shape
+    k = width // 2
+    by_node = grow.reshape(4, n, k, 2)  # a view: closing a node writes grow
+    inst = np.arange(n)
+    sums = np.zeros((4, n, 1))  # a, b, c over the coded nodes, e over the uncoded
+    choices = np.empty((n, k), dtype=np.int64)
+    for step in range(k):
+        den = _coded_inverse_term(*(sums[:3] + grow[:3])) + sums[3] + grow[3]
+        cand = st[:, None] / den
+        # taken nodes (NaN) and non-finite distortions are closed
+        cand[~np.isfinite(cand)] = np.inf
+        choice = cand.argmin(axis=1)
+        if cand[inst, choice].max() == np.inf:
+            raise ValidationError("no finite candidate distortion for some instance")
+        choices[:, step] = choice
+        sums += grow[:, inst, choice, None]
+        by_node[:, inst, choice // 2] = np.nan
+    node, uncoded = np.divmod(choices, 2)
+    policies = np.zeros((n, k), dtype=np.int8)
+    np.put_along_axis(policies, node, 1 - uncoded, axis=1)
+    for i in range(n):
+        yield policies[i].tolist(), node[i].tolist(), k * (k + 1)
 
 
 def exhaustive_group_size(n_nodes: int) -> int:

@@ -1,6 +1,7 @@
 """The coded-vs-uncoded boundaries against exact rational arithmetic, over
-SNRs from 1e-300 to 1e308: the crossover node counts are the exact roots
-rounded once, and the heterogeneous condition gives the exact verdict."""
+SNRs from 1e-300 to 1e308: the crossover node counts and the channel-SNR
+roots are the exact roots rounded once, and the heterogeneous condition
+gives the exact verdict."""
 
 import math
 import sys
@@ -81,6 +82,55 @@ def test_crossover_counts_at_the_paper_example():
     assert an.crossover_node_count_total(7.0, 5.0) == 3.6548338013189103
     # a crossover beyond 1e9 nodes is a root like any other
     assert an.crossover_node_count(1e-9, 5.0) == 13200000002.199999
+
+
+# ---------------------------------------------------------------------------
+# channel-SNR roots
+# ---------------------------------------------------------------------------
+
+def _channel_polynomial(k, o, g):
+    """2 g^2 - ((k-2) o - 3) g + o + 1: negative exactly where uncoded wins."""
+    return 2 * g * g - ((k - 2) * o - 3) * g + o + 1
+
+
+@pytest.mark.parametrize("gob", [1e8, 1e12])
+@pytest.mark.parametrize("k", [3, 5, 10, 50])
+def test_channel_roots_flip_the_verdict_at_the_neighbouring_floats(k, gob):
+    g1, g2 = an.coded_region_channel_roots(k, gob)
+    assert an.coded_wins_homo(k, gob, math.nextafter(g1, 0.0))
+    assert not an.coded_wins_homo(k, gob, math.nextafter(g1, math.inf))
+    assert not an.coded_wins_homo(k, gob, math.nextafter(g2, 0.0))
+    assert an.coded_wins_homo(k, gob, math.nextafter(g2, math.inf))
+
+
+def test_channel_roots_stay_finite_at_huge_observation_snr():
+    g1, g2 = an.coded_region_channel_roots(5, 1e200)
+    assert g1 == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert g2 == pytest.approx(1.5e200, rel=1e-15)
+
+
+def test_channel_roots_are_the_exact_roots_to_1e_15():
+    rng = np.random.default_rng(86)
+    cases = [(int(k), float(10.0 ** e))
+             for k, e in zip(rng.integers(3, 1000, 2000), rng.uniform(-12.0, 300.0, 2000))]
+    # the discriminant changes sign at gamma_ob_star
+    for k in (3, 4, 5, 10, 100):
+        star = an.gamma_ob_star(k)
+        cases += [(k, star), (k, math.nextafter(star, 0.0)),
+                  (k, math.nextafter(star, math.inf))]
+    tol = Fraction(1, 10 ** 15)
+    with_roots = 0
+    for k, gob in cases:
+        o = Fraction(gob)
+        roots = an.coded_region_channel_roots(k, gob)
+        if ((k - 2) * o - 3) ** 2 < 8 * (o + 1):
+            assert roots is None, (k, gob)
+            continue
+        with_roots += 1
+        for r in map(Fraction, roots):
+            assert (_channel_polynomial(k, o, r * (1 - tol))
+                    * _channel_polynomial(k, o, r * (1 + tol)) <= 0), (k, gob)
+    assert with_roots > 1000
 
 
 # ---------------------------------------------------------------------------

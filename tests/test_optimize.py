@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,6 +30,30 @@ def test_global_search_single_node_prefers_coded(rng):
         m = SystemModel.homogeneous(1, float(rng.uniform(0.05, 50)),
                                     float(rng.uniform(0.05, 50)))
         assert op.global_search(m).policy.rho == (1,)
+
+
+def test_global_search_memory_stays_within_one_block():
+    # one mask pair of 4096 policies serves every block
+    model = random_instance(18, seed=18)
+    tracemalloc.start()
+    try:
+        op.global_search(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+def test_global_search_ranks_nan_last_across_blocks():
+    # SNRs of 1e200 overflow the link terms, so every policy's distortion is
+    # NaN and the preference alone decides, over all blocks alike
+    k = 17
+    model = SystemModel.from_snrs([1e200 if j % 2 == 0 else 3.0 + j for j in range(k)],
+                                  [1e200 if j % 3 == 0 else 5.0 for j in range(k)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = op.global_search(model)
+    assert r.policy == CodingPolicy.all_coded(k)
+    assert math.isnan(r.distortion)
 
 
 def test_global_search_guard():

@@ -1,9 +1,10 @@
 """Property tests over the whole valid domain: models and specs reject
 invalid values when they are made, the hybrid closed form reduces to the
 single-scheme ones, the heterogeneous condition agrees with the distortion
-gap, the exhaustive optimum bounds every greedy search, and an extra node
-never hurts the optimum.  SNRs and source powers are drawn on a log scale
-from 1e-6 to 1e6."""
+gap, the hybrid closed form matches the dense BLUE oracle, the exhaustive
+optimum bounds every greedy search, and an extra node never hurts the
+optimum.  SNRs and source powers are drawn on a log scale from 1e-6 to 1e6
+(1e-3 to 1e3 against the oracle)."""
 
 import math
 from dataclasses import replace
@@ -16,15 +17,16 @@ from sensefuse import analytic, optimize, simulate
 from sensefuse.model import CodingPolicy, SensorLink, SystemModel, ValidationError
 
 positive = st.floats(min_value=-6.0, max_value=6.0).map(lambda e: 10.0 ** e)
+moderate = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0 ** e)
 invalid = st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf])
 
 
 @st.composite
-def models(draw, max_nodes=8):
+def models(draw, max_nodes=8, values=positive):
     k = draw(st.integers(1, max_nodes))
-    gob = draw(st.lists(positive, min_size=k, max_size=k))
-    gch = draw(st.lists(positive, min_size=k, max_size=k))
-    return SystemModel.from_snrs(gob, gch, sigma_theta_sq=draw(positive))
+    gob = draw(st.lists(values, min_size=k, max_size=k))
+    gch = draw(st.lists(values, min_size=k, max_size=k))
+    return SystemModel.from_snrs(gob, gch, sigma_theta_sq=draw(values))
 
 
 def _rel_err(x, y):
@@ -90,6 +92,15 @@ def test_hybrid_reduces_to_single_scheme_forms(model):
     uncoded = analytic.hybrid_distortion(model, CodingPolicy.all_uncoded(k)).total
     assert _rel_err(coded, analytic.coded_hetero_distortion(model)) <= 1e-14
     assert _rel_err(uncoded, analytic.uncoded_hetero_distortion(model)) <= 1e-14
+
+
+@given(models(values=moderate), st.data())
+def test_hybrid_distortion_matches_the_blue_oracle(model, data):
+    k = model.n_nodes
+    policy = CodingPolicy(tuple(data.draw(st.lists(st.integers(0, 1), min_size=k,
+                                                   max_size=k))))
+    oracle = analytic.blue_distortion(analytic.hybrid_noise_covariance(model, policy))
+    assert _rel_err(analytic.hybrid_distortion(model, policy).total, oracle) <= 1e-9
 
 
 @given(models(max_nodes=40))

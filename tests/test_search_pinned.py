@@ -50,12 +50,19 @@ def _homogeneous():
     return [SystemModel.homogeneous(k, 7.0, 5.0) for k in range(1, 13)]
 
 
-def _overflowing():
+def _overflowing(ks=range(2, 8)):
     """Models whose link terms overflow to inf/NaN (SNRs of 1e200), so
     some candidates are non-finite and are never picked."""
     return [SystemModel.from_snrs([1e200 if j % 2 == 0 else 3.0 + j for j in range(k)],
                                   [1e200 if j % 3 == 0 else 5.0 for j in range(k)])
-            for k in range(2, 8)]
+            for k in ks]
+
+
+def _multi_block():
+    """Exhaustive searches over more than one enumeration block; two
+    models share K=15, so the batch stacks them."""
+    return [random_instance(k, seed=13000 + i)
+            for i, k in enumerate((13, 14, 15, 15, 16, 17))]
 
 
 def _group(size):
@@ -87,6 +94,11 @@ CASES = {
        for size in (1, 2, 3, 16)},
     **{f"overflowing group L={size}": (_overflowing, _group(size)) for size in (1, 3)},
     "overflowing global": (_overflowing, _GLOBAL),
+    "K=13..17 global": (_multi_block, _GLOBAL),
+    # every policy with as many coded nodes ties exactly, across blocks
+    "homogeneous K=14,16 global": (
+        lambda: [SystemModel.homogeneous(k, 7.0, 5.0) for k in (14, 16)], _GLOBAL),
+    "overflowing K=14 global": (lambda: _overflowing([14]), _GLOBAL),
     # instances end some steps with different row counts, so the batch pads
     "K=7 group L=400": (lambda: [random_instance(7, seed=7000 + i) for i in range(60)],
                         _group(400)),
@@ -99,6 +111,12 @@ CASES = {
 PINNED = {
     "K=250 pure":
         "9e225a6993d871685abec8e62aedaf32b784de040c0521e345ec966d0f3e4163",
+    "K=13..17 global":
+        "690b3c5e6cf9bde31647a14fd41ef838b1663d4fbeee1604420ad7a8bd524319",
+    "homogeneous K=14,16 global":
+        "cc7f8bac1a71771a647107e70848f0b02bf799bcb00f261c651cf6bc6d7b0c95",
+    "overflowing K=14 global":
+        "2e67408cdf5c06e14d1f8231dbdfb421a001033fe9c96e4d32210d072ad2b450",
     "K=60 group L=16":
         "4a69f81f225098c0617a5b5212913f2dd24ddfc95286ad4a8302a6fa056494b5",
     "K=7 group L=400":
