@@ -187,12 +187,23 @@ def _coded_link_terms(gob, gch):
     """The coded part 1/lambda, u/lambda, u^2/lambda of :func:`link_terms`,
     elementwise.  Yielded one at a time, so a caller that reduces each term
     as it comes (the fading Monte Carlo, on (blocks, nodes) chunks) never
-    holds all three temporaries at once, which measurably slows it."""
-    u = 1.0 / (1.0 + gch)
-    lam = (1.0 + gch + gob) * gch / ((1.0 + gch) ** 2 * gob)
+    holds all three temporaries at once, which measurably slows it.
+
+    lambda = (1 + g_ch + g_ob) g_ch / ((1 + g_ch)^2 g_ob) is built in place
+    from one array ``1 + g_ch``, in the same IEEE operations as that
+    formula read left to right; the inputs must be arrays."""
+    t = 1.0 + gch
+    u = 1.0 / t
+    lam = t + gob
+    lam *= gch
+    t *= t
+    t *= gob
+    lam /= t
     yield 1.0 / lam
     yield u / lam
-    yield u * u / lam
+    u *= u
+    u /= lam
+    yield u
 
 
 def _uncoded_noise(gob, gch):
@@ -460,28 +471,27 @@ def coded_region_channel_roots(n_nodes: int, gamma_ob: float
                                ) -> Optional[tuple[float, float]]:
     """Channel-SNR interval endpoints (gamma_ch1, gamma_ch2) where the
     uncoded scheme wins: the roots of the homogeneous condition
-    2 g^2 - ((K-2) gamma_ob - 3) g + gamma_ob + 1 in g = gamma_ch.  None
-    when the discriminant (K-2)^2 gamma_ob^2 - (6K-4) gamma_ob + 1 is
-    negative (no real roots).
+    2 g^2 - b g + gamma_ob + 1 in g = gamma_ch, with b = (K-2) gamma_ob - 3.
+    None when no positive channel SNR lets the uncoded scheme win: when the
+    discriminant b^2 - 8 (gamma_ob + 1) is negative (no real roots), or
+    when b <= 0 (the roots' product (gamma_ob + 1) / 2 is positive, so both
+    roots are negative exactly when their sum b / 2 is).
 
     Evaluated exactly on the float input and rounded once, like the
-    crossover counts: the root r away from zero is (b +- sqrt(disc)) / 4,
-    taking the sign of b = (K-2) gamma_ob - 3, so it never cancels; the
-    other is (gamma_ob + 1) / (2 r), from the product of the roots.  A root
-    above the float maximum is ``inf``.
+    crossover counts: the larger root r is (b + sqrt(disc)) / 4, which
+    never cancels as b > 0; the other is (gamma_ob + 1) / (2 r), from the
+    product of the roots.  A root above the float maximum is ``inf``.
     """
     if n_nodes < 3:
         raise ValidationError(f"channel roots require K >= 3, got {n_nodes}")
     gob = Fraction(gamma_ob)
     base = (n_nodes - 2) * gob - 3
     disc = base * base - 8 * (gob + 1)
-    if disc < 0:
+    if base <= 0 or disc < 0:
         return None
-    root = _sqrt_to_100_bits(disc)
-    far = (base + root if base >= 0 else base - root) / 4
+    far = (base + _sqrt_to_100_bits(disc)) / 4
     near = (gob + 1) / (2 * far)
-    g1, g2 = sorted((near, far))
-    return _rounded(g1), _rounded(g2)
+    return _rounded(near), _rounded(far)
 
 
 def _sqrt_to_100_bits(x: Fraction) -> Fraction:

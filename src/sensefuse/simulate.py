@@ -19,13 +19,25 @@ and forwards ``obs``; after de-gaining, ``x = obs + n`` with
 recoveries with the BLUE weights.
 
 Randomness comes from counter-based Philox streams spawned per fixed-size
-chunk, so results are bit-reproducible from the seed alone and chunks form
-independent streams that could be consumed in any partition.
+chunk of 65,536 trials or blocks, so results are bit-reproducible from the
+seed alone.  Since each chunk has its own stream, :func:`_map_chunks` runs
+the chunks of one call at the same time: the calling thread and up to one
+helper thread per further available core each take the next chunk as soon
+as they are free, and the estimators combine the per-chunk results in chunk
+order, so every result is bit-identical to running the chunks one after
+another.  The helpers live for one call only.  Within a chunk, the
+row-wise array math runs on blocks of rows of about ``_BLOCK_ITEMS``
+items, so a chunk in flight holds its draws but only small temporaries.
 """
 
 from __future__ import annotations
 
+import contextvars
+import itertools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +64,11 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16
+# items of a chunk's arrays taken at once by the row-wise steps (256 KiB of
+# floats): successive draws continue one stream and each row's result
+# depends on that row only, so the values equal those of the whole chunk
+# at once, with temporaries that stay small and in cache
+_BLOCK_ITEMS = 1 << 15
 # Hill tail-index threshold: a sample mean converges only when the tail
 # index exceeds 1; the divergent fading case sits exactly at 1 while every
 # bounded per-block distortion yields a large estimate
@@ -81,14 +98,70 @@ def _philox(seed_seq: np.random.SeedSequence) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed_seq))
 
 
-def _chunk_streams(seed: int, n_items: int):
-    """Deterministic per-chunk generators; chunking is a pure function of
-    n_items so results cannot depend on scheduling."""
+def _chunk_streams(seed: int, n_items: int) -> list:
+    """Deterministic per-chunk ``(size, generator)`` pairs; chunking is a
+    pure function of n_items so results cannot depend on scheduling."""
     n_chunks = (n_items + _CHUNK - 1) // _CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
-    for i, child in enumerate(children):
-        size = min(_CHUNK, n_items - i * _CHUNK)
-        yield size, _philox(child)
+    return [(min(_CHUNK, n_items - i * _CHUNK), _philox(child))
+            for i, child in enumerate(children)]
+
+
+def _row_blocks(n_rows: int, n_cols: int):
+    """Slices of consecutive rows, about ``_BLOCK_ITEMS`` items each."""
+    step = max(1, _BLOCK_ITEMS // n_cols)
+    return (slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step))
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _map_chunks(fn, seed: int, n_items: int) -> list:
+    """``fn(size, rng)`` of every chunk of :func:`_chunk_streams`, in chunk
+    order.
+
+    The calling thread works through the chunks together with
+    ``min(available CPUs, chunks) - 1`` helper threads, each taking the next
+    chunk index as soon as it is free; a single chunk starts no thread.  The
+    helpers belong to this call and are joined before it returns (a pool
+    kept across calls would hang a forked child).  Every chunk runs in a
+    copy of the caller's context, so a caller's ``np.errstate`` holds in
+    every chunk, and an exception raised by any chunk is raised here after
+    the helpers have stopped taking chunks.
+    """
+    chunks = _chunk_streams(seed, n_items)
+    contexts = [contextvars.copy_context() for _ in chunks]
+    results = [None] * len(chunks)
+    counter = itertools.count()
+    lock = threading.Lock()
+    failed = []
+
+    def claim() -> int:
+        with lock:
+            return next(counter)
+
+    def drain():
+        try:
+            while not failed and (i := claim()) < len(chunks):
+                results[i] = contexts[i].run(fn, *chunks[i])
+        except BaseException:
+            failed.append(True)
+            raise
+
+    n_helpers = min(_available_cpus(), len(chunks)) - 1
+    if n_helpers < 1:
+        drain()
+        return results
+    with ThreadPoolExecutor(max_workers=n_helpers) as pool:
+        helpers = [pool.submit(drain) for _ in range(n_helpers)]
+        drain()
+    for helper in helpers:
+        helper.result()
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +261,11 @@ def sample_recovery(theta, model: SystemModel, policy: CodingPolicy,
     obs += theta
     x = rng.standard_normal(shape)
     x *= noise_scale
-    x += gain * obs
+    # gain * obs is added a block of rows at a time, so the product needs
+    # no temporary as large as the draws
+    x_rows, obs_rows = x.reshape(-1, model.n_nodes), obs.reshape(-1, model.n_nodes)
+    for rows in _row_blocks(len(x_rows), model.n_nodes):
+        x_rows[rows] += gain * obs_rows[rows]
     return x, obs
 
 
@@ -211,22 +288,34 @@ def empirical_distortion(model: SystemModel, policy: CodingPolicy,
 
     Per trial: draw theta, form each node's recovery with
     :func:`sample_recovery`, fuse with the weights of the hybrid block
-    covariance, and accumulate the squared error.
+    covariance, and take the squared error.  The chunks of trials run in
+    parallel (:func:`_map_chunks`); their sums of squared errors and of
+    their squares are added in chunk order, so the result is the same bit
+    for bit on any number of cores.
     """
     if n_trials < 2:
         raise ValidationError(
             f"n_trials must be >= 2 for a standard error, got {n_trials}")
     weights = analytic.blue_weights(analytic.hybrid_noise_covariance(model, policy))
-    st = model.sigma_theta_sq
+    scale = math.sqrt(model.sigma_theta_sq)
+
+    def chunk_sums(size, rng):
+        theta = rng.standard_normal(size)
+        theta *= scale
+        x, _ = sample_recovery(theta, model, policy, rng)
+        # the error and its powers in place: x @ w - theta, then sq, then sq^2
+        sq = x @ weights
+        sq -= theta
+        sq *= sq
+        total = float(sq.sum())
+        sq *= sq
+        return total, float(sq.sum())
+
     total = 0.0
     total_sq = 0.0
-    for size, rng in _chunk_streams(seed, n_trials):
-        theta = math.sqrt(st) * rng.standard_normal(size)
-        x, _ = sample_recovery(theta, model, policy, rng)
-        err = x @ weights - theta
-        sq = err * err
-        total += float(sq.sum())
-        total_sq += float((sq * sq).sum())
+    for chunk_total, chunk_total_sq in _map_chunks(chunk_sums, seed, n_trials):
+        total += chunk_total
+        total_sq += chunk_total_sq
     return _batch_stats(n_trials, total, total_sq, seed)
 
 
@@ -244,8 +333,11 @@ def fading_empirical_distortion(model: SystemModel, nu: float, n_blocks: int,
     homogeneous instantaneous distortion presumes a system-wide channel
     SNR), so only the shared mode reproduces it for K > 1.
 
-    The uncoded scheme has no finite average (instantaneous distortion
-    scales like 1/h near h = 0), which the ``converged`` flag reports.
+    The chunks of blocks run in parallel (:func:`_map_chunks`) and their
+    per-block distortions are joined in chunk order, so the result is the
+    same bit for bit on any number of cores.  The uncoded scheme has no
+    finite average (instantaneous distortion scales like 1/h near h = 0),
+    which the ``converged`` flag reports.
     """
     if not nu > 0:
         raise ValidationError(f"nonpositive fading mean: {nu!r}")
@@ -258,17 +350,23 @@ def fading_empirical_distortion(model: SystemModel, nu: float, n_blocks: int,
     instant = (analytic._coded_distortion_rows if scheme == "coded"
                else analytic._uncoded_distortion_rows)
 
-    values = np.empty(n_blocks)
-    pos = 0
-    for size, rng in _chunk_streams(seed, n_blocks):
-        if shared_gain:
-            h = -nu * np.log1p(-rng.random((size, 1)))
-        else:
-            h = -nu * np.log1p(-rng.random((size, model.n_nodes)))
-        # one row of faded channel SNRs per block; the observation SNRs broadcast
-        values[pos:pos + size] = instant(gob, h * gch[None, :], model.sigma_theta_sq)
-        pos += size
+    def chunk_values(size, rng):
+        values = np.empty(size)
+        for rows in _row_blocks(size, model.n_nodes):
+            # one row of faded channel SNRs per block, formed in place as
+            # -nu * log1p(-u) * gch; the observation SNRs broadcast
+            h = rng.random((rows.stop - rows.start, 1 if shared_gain else model.n_nodes))
+            np.negative(h, out=h)
+            np.log1p(h, out=h)
+            h *= -nu
+            if shared_gain:
+                h = h * gch
+            else:
+                h *= gch
+            values[rows] = instant(gob, h, model.sigma_theta_sq)
+        return values
 
+    values = np.concatenate(_map_chunks(chunk_values, seed, n_blocks))
     total = float(values.sum())
     total_sq = float((values * values).sum())
     return _batch_stats(n_blocks, total, total_sq, seed,
@@ -281,7 +379,8 @@ def _tail_index_converged(values: np.ndarray) -> bool:
     if n < _TAIL_MIN_SAMPLES:
         return True
     k = max(10, n // 100)
-    top = np.sort(values)[-(k + 1):]
+    # the top k + 1 values, sorted; only those are ordered
+    top = np.sort(np.partition(values, n - (k + 1))[-(k + 1):])
     pivot = top[0]
     if pivot <= 0:
         return True

@@ -123,14 +123,55 @@ def test_channel_roots_are_the_exact_roots_to_1e_15():
     for k, gob in cases:
         o = Fraction(gob)
         roots = an.coded_region_channel_roots(k, gob)
-        if ((k - 2) * o - 3) ** 2 < 8 * (o + 1):
+        b = (k - 2) * o - 3
+        if b <= 0 or b * b < 8 * (o + 1):
             assert roots is None, (k, gob)
             continue
         with_roots += 1
         for r in map(Fraction, roots):
             assert (_channel_polynomial(k, o, r * (1 - tol))
                     * _channel_polynomial(k, o, r * (1 + tol)) <= 0), (k, gob)
+        _assert_roots_bound_the_uncoded_region(k, gob, roots)
     assert with_roots > 1000
+
+
+def _assert_roots_bound_the_uncoded_region(k, gob, roots):
+    """coded_wins_homo agrees with the roots: coded wins below the lower
+    root and above the upper one, and loses between two distinct roots."""
+    g1, g2 = roots
+    assert 0 < g1 <= g2, (k, gob)
+    assert an.coded_wins_homo(k, gob, g1 * (1 - 1e-12)), (k, gob)
+    if g2 < math.inf:
+        assert an.coded_wins_homo(k, gob, g2 * (1 + 1e-12)), (k, gob)
+    if g2 > g1 * (1 + 1e-9):
+        assert not an.coded_wins_homo(k, gob, math.sqrt(g1) * math.sqrt(g2)), (k, gob)
+
+
+def test_channel_roots_are_none_when_both_would_be_negative():
+    # (K-2) gamma_ob <= 3: the roots' product (gamma_ob + 1) / 2 is positive
+    # and their sum is not, so a real pair of roots is negative and coded
+    # wins at every positive channel SNR
+    assert an.coded_region_channel_roots(3, 0.01) is None
+    assert all(an.coded_wins_homo(3, 0.01, float(g)) for g in np.geomspace(1e-9, 1e9, 73))
+    for k in (3, 4, 5, 11, 302):
+        edge = 3.0 / (k - 2)
+        for gob in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
+            assert an.coded_region_channel_roots(k, gob) is None, (k, gob)
+            assert all(an.coded_wins_homo(k, gob, float(g))
+                       for g in np.geomspace(1e-9, 1e9, 19)), (k, gob)
+        # below the smaller zero of the discriminant in gamma_ob, the roots
+        # are real and negative
+        for gob in (1e-12, 0.01 / k, 0.05 / (k - 2)):
+            o = Fraction(gob)
+            assert ((k - 2) * o - 3) ** 2 >= 8 * (o + 1), (k, gob)
+            assert an.coded_region_channel_roots(k, gob) is None, (k, gob)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 11, 302])
+def test_channel_roots_agree_with_the_verdict(k):
+    star = an.gamma_ob_star(k)
+    for gob in (math.nextafter(star, math.inf), 1.01 * star, 2.0 * star, 1e3 * star, 1e100):
+        _assert_roots_bound_the_uncoded_region(k, gob, an.coded_region_channel_roots(k, gob))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -244,6 +245,38 @@ def test_cli_validate_json_pinned(tmp_path):
         b'  "empirical": 0.13002893477400548,\n  "std_error": 0.0006960523069923251,\n'
         b'  "n_trials": 70000,\n  "seed": 2718,\n  "z_score": -0.22260030458449762,\n'
         b'  "within_3_sigma": true\n}\n')
+
+
+def test_cli_validate_json_pinned_at_eight_nodes(tmp_path):
+    # two Philox chunks of K = 8 nodes, the second one half full
+    out = tmp_path / "validate.json"
+    rc = cli_entry(["validate", "--gamma-ob", "7,3,12,0.5,9,2,6,4",
+                    "--gamma-ch", "5,8,2,20,1,3,7,6", "--policy", "10110010",
+                    "--trials", "98304", "--seed", "31", "--format", "json",
+                    "--out", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == (
+        b'{\n  "policy": "10110010",\n  "analytic": 0.0696396407819017,\n'
+        b'  "empirical": 0.06937949624475734,\n  "std_error": 0.0003122938777018599,\n'
+        b'  "n_trials": 98304,\n  "seed": 31,\n  "z_score": -0.8330119663527789,\n'
+        b'  "within_3_sigma": true\n}\n')
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("csv", "ffc90a9590de4451b753596af86f4b6cdf7746bd966133794ff18356cb71104f"),
+    ("json", "67e4b2d8949cae5fc446a3254160213eaab58b6717f9774f5204ec0b47647937"),
+], ids=["csv", "json"])
+def test_cli_fig5_fading_pinned(tmp_path, fmt, digest):
+    # K = 1..30, each Monte Carlo call over three Philox chunks (the last
+    # one of 28 blocks); sha256 of the bytes written, so any change to the
+    # fading draws, the per-block distortions or the order of their sums
+    # moves it
+    spec = tmp_path / "fig5.spec"
+    spec.write_text("experiment = fig5_fading\nn_blocks = 131100\n")
+    out = tmp_path / f"fig5.{fmt}"
+    assert cli_entry(["run", str(spec), "--seed", "5", "--format", fmt,
+                      "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_cli_crossover_roots_without_total_power_crossover(tmp_path, capsys):

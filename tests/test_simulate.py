@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -239,6 +241,179 @@ def test_fading_independent_gains_beat_shared():
     shared = sim.fading_empirical_distortion(m, 0.9, 200_000, seed=13,
                                              shared_gain=True)
     assert indep.mean_sq_error < shared.mean_sq_error
+
+
+# ---------------------------------------------------------------------------
+# chunk scheduler
+# ---------------------------------------------------------------------------
+
+def _sequential_fading(model, nu, n_blocks, seed, scheme, shared_gain):
+    """The fading estimator with its chunks one after another and the
+    instantaneous distortions written as the closed forms read."""
+    gob, gch, st = model.gamma_ob_array(), model.gamma_ch_array(), model.sigma_theta_sq
+    cols = 1 if shared_gain else model.n_nodes
+    parts = []
+    for size, rng in sim._chunk_streams(seed, n_blocks):
+        g = -nu * np.log1p(-rng.random((size, cols))) * gch[None, :]
+        if scheme == "coded":
+            u = 1.0 / (1.0 + g)
+            lam = (1.0 + g + gob) * g / ((1.0 + g) ** 2 * gob)
+            a, b, c = ((1.0 / lam).sum(axis=-1), (u / lam).sum(axis=-1),
+                       (u * u / lam).sum(axis=-1))
+            parts.append(st / (a - b * b / (1.0 + c)))
+        else:
+            parts.append(st / (1.0 / (1.0 / gob + 1.0 / g + 1.0 / (gob * g))).sum(axis=-1))
+    values = np.concatenate(parts)
+    return sim._batch_stats(n_blocks, float(values.sum()), float((values * values).sum()),
+                            seed, converged=_sorted_tail_converged(values))
+
+
+def _sorted_tail_converged(values):
+    """The Hill tail-index check read off a full sort."""
+    if len(values) < 100:
+        return True
+    k = max(10, len(values) // 100)
+    top = np.sort(values)[-(k + 1):]
+    if top[0] <= 0:
+        return True
+    log_excess = float(np.log(top[1:] / top[0]).sum())
+    return log_excess <= 0 or k / log_excess > 1.5
+
+
+def test_tail_index_check_matches_a_full_sort():
+    rng = np.random.default_rng(5)
+    for n in (99, 100, 1000, 54_321):
+        for alpha in (0.7, 1.0, 1.5, 3.0):
+            values = rng.pareto(alpha, n) + 1.0
+            for v in (values, np.round(values, 1), -values, np.zeros(n)):
+                assert sim._tail_index_converged(v) == _sorted_tail_converged(v)
+
+
+def _sequential_trials(model, policy, n_trials, seed):
+    """The trial estimator with its chunks one after another and the
+    forward model of :func:`simulate.sample_recovery` on whole chunks."""
+    weights = an.blue_weights(an.hybrid_noise_covariance(model, policy))
+    st, gch = model.sigma_theta_sq, model.gamma_ch_array()
+    sigma_ob = np.sqrt(st / model.gamma_ob_array())
+    s2 = st + sigma_ob ** 2
+    sigma_qu_sq = s2 / (1.0 + gch)
+    beta = sigma_qu_sq / s2
+    coded = np.array(policy.rho, dtype=bool)
+    gain = np.where(coded, 1.0 - beta, 1.0)
+    noise_scale = np.where(coded, np.sqrt(sigma_qu_sq * (1.0 - beta)), np.sqrt(s2 / gch))
+    total = total_sq = 0.0
+    for size, rng in sim._chunk_streams(seed, n_trials):
+        theta = math.sqrt(st) * rng.standard_normal(size)
+        obs = theta[:, None] + sigma_ob * rng.standard_normal((size, model.n_nodes))
+        x = noise_scale * rng.standard_normal((size, model.n_nodes)) + gain * obs
+        err = x @ weights - theta
+        sq = err * err
+        total += float(sq.sum())
+        total_sq += float((sq * sq).sum())
+    return sim._batch_stats(n_trials, total, total_sq, seed)
+
+
+# one chunk, two chunks and four chunks, the last two ragged
+_CHUNK_COUNTS = [1000, sim._CHUNK + 777, 3 * sim._CHUNK + 5]
+
+
+@pytest.fixture(params=[1, 4], ids=["one-cpu", "four-cpus"])
+def cpus(request, monkeypatch):
+    monkeypatch.setattr(sim, "_available_cpus", lambda: request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("n_blocks", _CHUNK_COUNTS)
+@pytest.mark.parametrize("shared_gain", [False, True])
+@pytest.mark.parametrize("scheme", ["coded", "uncoded"])
+def test_fading_chunks_match_the_sequential_estimator(cpus, n_blocks, shared_gain, scheme):
+    m = SystemModel.from_snrs([7.0, 0.3, 12.0], [5.0, 40.0, 0.8], sigma_theta_sq=1.7)
+    got = sim.fading_empirical_distortion(m, 0.9, n_blocks, seed=n_blocks, scheme=scheme,
+                                          shared_gain=shared_gain)
+    assert got == _sequential_fading(m, 0.9, n_blocks, n_blocks, scheme, shared_gain)
+
+
+@pytest.mark.parametrize("n_trials", _CHUNK_COUNTS)
+def test_trial_chunks_match_the_sequential_estimator(cpus, n_trials):
+    m = SystemModel.from_snrs([7.0, 0.3, 12.0, 2.0], [5.0, 40.0, 0.8, 3.0],
+                              sigma_theta_sq=1.7)
+    policy = CodingPolicy((1, 0, 0, 1))
+    got = sim.empirical_distortion(m, policy, n_trials, seed=n_trials)
+    assert got == _sequential_trials(m, policy, n_trials, n_trials)
+
+
+def test_chunk_threads_are_joined_before_the_call_returns(cpus):
+    before = threading.active_count()
+    m = SystemModel.homogeneous(3, 7.0, 5.0)
+    sim.fading_empirical_distortion(m, 0.9, 3 * sim._CHUNK + 5, seed=1)
+    assert threading.active_count() == before
+
+
+def test_a_single_chunk_starts_no_thread(monkeypatch, cpus):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single chunk started a thread pool")
+
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", no_pool)
+    before = threading.active_count()
+    seen = sim._map_chunks(lambda size, rng: threading.active_count(), 0, sim._CHUNK)
+    assert seen == [before]
+    m = SystemModel.homogeneous(3, 7.0, 5.0)
+    sim.fading_empirical_distortion(m, 0.9, sim._CHUNK, seed=1)
+    sim.empirical_distortion(m, CodingPolicy((1, 0, 1)), sim._CHUNK, seed=1)
+
+
+def test_helper_chunks_run_under_the_callers_errstate(monkeypatch):
+    # the barrier holds the first chunk until the second one has started,
+    # so the two run on different threads
+    monkeypatch.setattr(sim, "_available_cpus", lambda: 2)
+    barrier = threading.Barrier(2, timeout=30)
+
+    def chunk(size, rng):
+        barrier.wait()
+        return threading.get_ident(), np.geterr()["over"]
+
+    with np.errstate(over="raise"):
+        seen = sim._map_chunks(chunk, 0, 2 * sim._CHUNK)
+    assert seen[0][0] != seen[1][0]
+    assert [mode for _, mode in seen] == ["raise", "raise"]
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        sim._map_chunks(lambda size, rng: np.full(size, 1e300) * 1e300, 0,
+                        2 * sim._CHUNK)
+
+
+def test_each_chunk_is_claimed_once_under_frequent_thread_switches(monkeypatch):
+    # more threads than cores and a short switch interval: a chunk claimed
+    # twice would draw from its generator twice and change its result
+    monkeypatch.setattr(sim, "_available_cpus", lambda: 8)
+    n_items = 256 * sim._CHUNK
+    calls = []
+
+    def chunk(size, rng):
+        calls.append(size)
+        for _ in range(2000):  # Python work, so threads switch inside chunks
+            pass
+        return int(rng.integers(1 << 62))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = sim._map_chunks(chunk, 9, n_items)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == 256
+    assert got == [int(rng.integers(1 << 62)) for _, rng in sim._chunk_streams(9, n_items)]
+
+
+def test_an_error_in_any_chunk_reaches_the_caller(cpus):
+    def chunk(size, rng):
+        if size == 5:
+            raise ValueError("last chunk")
+        return size
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="last chunk"):
+        sim._map_chunks(chunk, 0, 3 * sim._CHUNK + 5)
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------
