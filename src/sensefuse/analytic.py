@@ -54,7 +54,6 @@ __all__ = [
     "coded_wins_hetero",
     "gamma_ob_star",
     "coded_region_channel_roots",
-    "coded_max_nodes",
     "hybrid_distortion",
     "sherman_morrison_check",
     "exp_integral_en",
@@ -513,31 +512,25 @@ def _rounded(x: Fraction) -> float:
 # crossover roots in continuous node count (exact rationals, rounded once)
 # ---------------------------------------------------------------------------
 
-def coded_max_nodes(gamma_ob: float, gamma_ch: float) -> float:
-    """Largest (continuous) node count for which coded still wins:
+class _NoCrossover(ValidationError):
+    """Coded beats uncoded at every node count (total power constraint)."""
+
+
+def crossover_node_count(gamma_ob: float, gamma_ch: float) -> float:
+    """Continuous K where the homogeneous coded and uncoded distortions
+    cross (individual power constraint), the largest node count for which
+    coded still wins:
     K = 2 + 1/gamma_ch + (gamma_ch+1)(2 gamma_ch+1)/(gamma_ob gamma_ch),
-    the root of the homogeneous condition in K.  Evaluated exactly on the
+    the root of the homogeneous condition in K.  The root exists for every
+    positive SNR pair, because uncoded wins at large K; sigma_theta^2
+    scales both distortions and cancels out.  Evaluated exactly on the
     float inputs and rounded once; ``inf`` above the float maximum."""
     gob = Fraction(gamma_ob)
     gch = Fraction(gamma_ch)
     return _rounded(2 + 1 / gch + (gch + 1) * (2 * gch + 1) / (gob * gch))
 
 
-class _NoCrossover(ValidationError):
-    """Coded beats uncoded at every node count (total power constraint)."""
-
-
-def crossover_node_count(gamma_ob: float, gamma_ch: float,
-                         sigma_theta_sq: float = 1.0) -> float:
-    """Continuous K where the homogeneous coded and uncoded distortions
-    cross (individual power constraint): :func:`coded_max_nodes`.  The root
-    exists for every positive SNR pair, because uncoded wins at large K;
-    sigma_theta^2 scales both distortions and cancels out."""
-    return coded_max_nodes(gamma_ob, gamma_ch)
-
-
-def crossover_node_count_total(gamma_ob: float, gamma_total: float,
-                               sigma_theta_sq: float = 1.0) -> float:
+def crossover_node_count_total(gamma_ob: float, gamma_total: float) -> float:
     """Continuous K where the total-power coded and uncoded distortions
     cross: the positive root (b + sqrt(b^2 + 4ac)) / (2a) of a K^2 - b K - c,
     where a = gamma_ob gamma_total - gamma_ob - 1, b = (2 gamma_ob + 3)

@@ -297,12 +297,12 @@ def _fig7_greedy(params: dict, seed: int):
     if sweep == "k":
         ks = _k_range(params, 2, 12)
         n_sim = _get(params, "n_sim", 10_000, int)
-        group_sizes = _int_list(_get(params, "group_sizes", "1,10,32", str))
+        group_sizes = _get(params, "group_sizes", [1, 10, 32], _int_list)
         grid = [(k, n_sim) for k in ks]
     elif sweep == "l":
         k = _get(params, "k", 10, int)
         n_sim = _get(params, "n_sim", 5_000, int)
-        group_sizes = _int_list(_get(params, "group_sizes", "1,2,4,8,16,32", str))
+        group_sizes = _get(params, "group_sizes", [1, 2, 4, 8, 16, 32], _int_list)
         grid = [(k, n_sim)]
     else:
         raise ValidationError(f"unknown sweep {sweep!r} (expected 'k' or 'l')")
@@ -369,7 +369,7 @@ def run_random_error_study(k: int, group_sizes, n_sim: int, seed: int,
 def _fig8_random_errors(params: dict, seed: int):
     k = _get(params, "k", 10, int)
     n_sim = _get(params, "n_sim", 5_000, int)
-    group_sizes = _int_list(_get(params, "group_sizes", "1,2,4,8,16,32", str))
+    group_sizes = _get(params, "group_sizes", [1, 2, 4, 8, 16, 32], _int_list)
     ch_spec, ob_spec = _instance_specs(params)
     return run_random_error_study(k, group_sizes, n_sim, seed,
                                   ch_spec=ch_spec, ob_spec=ob_spec)

@@ -21,22 +21,22 @@ recoveries with the BLUE weights.
 Randomness comes from counter-based Philox streams spawned per fixed-size
 chunk of 65,536 trials or blocks, so results are bit-reproducible from the
 seed alone.  Since each chunk has its own stream, :func:`_map_chunks` runs
-the chunks of one call at the same time: the calling thread and up to one
-helper thread per further available core each take the next chunk as soon
-as they are free, and the estimators combine the per-chunk results in chunk
-order, so every result is bit-identical to running the chunks one after
-another.  The helpers live for one call only.  Within a chunk, the
-row-wise array math runs on blocks of rows of about ``_BLOCK_ITEMS``
+the chunks of one call at the same time: every chunk goes on the queue of
+a thread pool with one helper per further available core, the helpers take
+chunks from its front, and the calling thread runs, from the back, each
+chunk no helper has started.  The estimators combine the per-chunk results
+in chunk order, so every result is bit-identical to running the chunks
+one after another.  The helpers live for one call only.  Within a chunk,
+the row-wise array math runs on blocks of rows of about ``_BLOCK_ITEMS``
 items, so a chunk in flight holds its draws but only small temporaries.
 """
 
 from __future__ import annotations
 
 import contextvars
-import itertools
+import functools
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -124,44 +124,33 @@ def _map_chunks(fn, seed: int, n_items: int) -> list:
     """``fn(size, rng)`` of every chunk of :func:`_chunk_streams`, in chunk
     order.
 
-    The calling thread works through the chunks together with
-    ``min(available CPUs, chunks) - 1`` helper threads, each taking the next
-    chunk index as soon as it is free; a single chunk starts no thread.  The
+    Every chunk is submitted to a pool of ``min(available CPUs, chunks) - 1``
+    helper threads, which take chunks from the front of its queue, while the
+    calling thread walks the chunks from the back and runs each one it can
+    still cancel from the pool; a future cancels only before it starts, so
+    each chunk runs exactly once.  A single chunk starts no thread.  The
     helpers belong to this call and are joined before it returns (a pool
     kept across calls would hang a forked child).  Every chunk runs in a
     copy of the caller's context, so a caller's ``np.errstate`` holds in
-    every chunk, and an exception raised by any chunk is raised here after
-    the helpers have stopped taking chunks.
+    every chunk.  An exception raised by any chunk is raised here, after the
+    chunks not yet started are cancelled and the helpers have stopped.
     """
-    chunks = _chunk_streams(seed, n_items)
-    contexts = [contextvars.copy_context() for _ in chunks]
-    results = [None] * len(chunks)
-    counter = itertools.count()
-    lock = threading.Lock()
-    failed = []
-
-    def claim() -> int:
-        with lock:
-            return next(counter)
-
-    def drain():
-        try:
-            while not failed and (i := claim()) < len(chunks):
-                results[i] = contexts[i].run(fn, *chunks[i])
-        except BaseException:
-            failed.append(True)
-            raise
-
-    n_helpers = min(_available_cpus(), len(chunks)) - 1
+    calls = [functools.partial(contextvars.copy_context().run, fn, *chunk)
+             for chunk in _chunk_streams(seed, n_items)]
+    n_helpers = min(_available_cpus(), len(calls)) - 1
     if n_helpers < 1:
-        drain()
-        return results
-    with ThreadPoolExecutor(max_workers=n_helpers) as pool:
-        helpers = [pool.submit(drain) for _ in range(n_helpers)]
-        drain()
-    for helper in helpers:
-        helper.result()
-    return results
+        return [call() for call in calls]
+    pool = ThreadPoolExecutor(max_workers=n_helpers)
+    try:
+        futures = [pool.submit(call) for call in calls]
+        ran_here = {}
+        for i in reversed(range(len(calls))):
+            if futures[i].cancel():
+                ran_here[i] = calls[i]()
+        return [ran_here[i] if i in ran_here else future.result()
+                for i, future in enumerate(futures)]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------

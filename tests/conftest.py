@@ -18,12 +18,18 @@ settings.load_profile("tier1")
 # checkout, in a directory removed when the session ends
 _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
 set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
 # hypothesis also mixes into its draws the float, integer and string
 # literals it harvests from every imported non-test module, sensefuse's among
 # them, so editing a literal in the library would change the examples; draw
 # none (a hypothesis without the harvest has nothing to switch off)
 if hasattr(providers, "_get_local_constants"):
     providers._get_local_constants = lambda: providers.Constants()
+
+
+def pytest_unconfigure(config):
+    _HYPOTHESIS_HOME.cleanup()
+
 
 CH_SPEC = simulate.FoldedNormalSpec(target_mean=5.0, std_dev=1.5)
 OB_SPEC = simulate.FoldedNormalSpec(target_mean=7.0, std_dev=1.5)

@@ -453,15 +453,10 @@ def test_channel_roots_none_below_star():
     assert an.coded_region_channel_roots(3, 1.0) is None
 
 
-def test_coded_max_nodes_example():
+def test_crossover_node_count_example():
     want = 2.0 + 1.0 / 5.0 + 66.0 / 35.0
-    assert an.coded_max_nodes(7.0, 5.0) == pytest.approx(want, rel=1e-14)
-    assert an.coded_max_nodes(7.0, 5.0) == pytest.approx(4.085714, abs=1e-5)
-
-
-def test_crossover_node_count_matches_closed_form():
-    root = an.crossover_node_count(7.0, 5.0)
-    assert root == pytest.approx(an.coded_max_nodes(7.0, 5.0), abs=1e-6)
+    assert an.crossover_node_count(7.0, 5.0) == pytest.approx(want, rel=1e-14)
+    assert an.crossover_node_count(7.0, 5.0) == pytest.approx(4.085714, abs=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +493,27 @@ def test_exp_integral_large_argument_against_mpmath():
     for x in (100.0, 400.0, 700.0):
         want = float(mpmath.expint(1, x))
         assert an.exp_integral_en(1, x) == pytest.approx(want, rel=1e-10)
+
+
+def test_scaled_exp_integral_asymptotic_branch_against_mpmath():
+    # past x = 700, e^x E_n(x) comes from the truncated asymptotic series
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for n in (1, 2):
+            for x in (700.5, 800.0, 5e3, 1e6):
+                want = float(mpmath.exp(x) * mpmath.expint(n, x))
+                assert an._exp_scaled_en(n, x) == pytest.approx(want, rel=1e-13)
+
+
+def test_fading_formula_is_continuous_where_the_asymptotic_branch_starts():
+    # z = 1/(nu gamma_ch) is exactly 700 at the first channel SNR and the
+    # next float above 700 at the second, so each side takes another branch
+    nu, at_edge = 1.0, 1.0 / 700.0
+    past_edge = math.nextafter(at_edge, 0.0)
+    assert 1.0 / (nu * at_edge) <= 700.0 < 1.0 / (nu * past_edge)
+    series = an.fading_coded_homo_distortion(4, 7.0, at_edge, nu)
+    asymptotic = an.fading_coded_homo_distortion(4, 7.0, past_edge, nu)
+    assert asymptotic == pytest.approx(series, rel=1e-13)
 
 
 def test_exp_integral_domain_errors():

@@ -35,7 +35,6 @@ def test_individual_crossover_is_the_exact_root_rounded_once():
         assert o * ((root - 2) * c - 1) == (c + 1) * (2 * c + 1)
         got = an.crossover_node_count(gob, gch)
         assert got == (math.inf if root > FLOAT_MAX else float(root)), (gob, gch)
-        assert an.coded_max_nodes(gob, gch) == got
 
 
 def _total_power_gap(o, g, k):

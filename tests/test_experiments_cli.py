@@ -106,6 +106,28 @@ def test_fig7_group_size_one_matches_pure(tmp_path):
         assert group1["policy_error_rate"] == pure["policy_error_rate"]
 
 
+def test_fig7_group_size_sweep_matches_the_random_error_study(tmp_path):
+    params = {"k": "6", "n_sim": "30", "group_sizes": "1,2,4"}
+    rows = _read_rows(ex.run_experiment(
+        ex.ExperimentSpec("fig7_greedy", {"sweep": "l", **params}), seed=13,
+        out=str(tmp_path / "g.csv")))
+    by_key = {(r["algorithm"], r["group_size"]): r for r in rows}
+    assert {r["sweep"] for r in rows} == {"l"}
+    assert {r["k"] for r in rows} == {"6"}
+    for col in ("normalized_distortion", "policy_error_rate"):
+        assert by_key[("group", "1")][col] == by_key[("pure", "0")][col]
+    # the same instances searched by the same group greedy: the Fig. 8
+    # study reports the same group rows
+    errors = _read_rows(ex.run_experiment(
+        ex.ExperimentSpec("fig8_random_errors", params), seed=13,
+        out=str(tmp_path / "e.csv")))
+    assert [r["group_size"] for r in errors] == ["1", "2", "4"]
+    for row in errors:
+        group = by_key[("group", row["group_size"])]
+        assert group["normalized_distortion"] == row["nd_group"]
+        assert group["policy_error_rate"] == row["policy_error_rate"]
+
+
 def test_fig5_fading_smoke(tmp_path):
     spec = ex.ExperimentSpec("fig5_fading", {"k_max": "3", "n_blocks": "20000"})
     rows = _read_rows(ex.run_experiment(spec, seed=2, out=str(tmp_path / "f.csv")))
@@ -365,6 +387,25 @@ def test_cli_run_rejects_nonpositive_or_nonfinite_parameter(tmp_path, capsys, ex
     assert rc == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert repr(key) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, lines, needle", [
+    ("fig7_greedy", "group_sizes = 1,x", "'group_sizes'"),
+    ("fig7_greedy", "sweep = l\ngroup_sizes = 1,x", "'group_sizes'"),
+    ("fig8_random_errors", "group_sizes = 2.5", "'group_sizes'"),
+    ("fig7_greedy", "sweep = x", "unknown sweep 'x'"),
+])
+def test_cli_run_rejects_bad_greedy_study_parameter(tmp_path, capsys, experiment, lines,
+                                                    needle):
+    spec = tmp_path / "bad.spec"
+    spec.write_text(f"experiment = {experiment}\n{lines}\n")
+    out = tmp_path / "rows.csv"
+    rc = cli_entry(["run", str(spec), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert needle in err
     assert not out.exists()
 
 

@@ -381,6 +381,28 @@ def test_helper_chunks_run_under_the_callers_errstate(monkeypatch):
                         2 * sim._CHUNK)
 
 
+@pytest.mark.parametrize("n_cpus", [2, 4])
+def test_the_caller_and_one_helper_per_further_cpu_run_chunks_at_once(monkeypatch,
+                                                                       n_cpus):
+    # each chunk waits until min(CPUs, chunks) threads wait with it, so the
+    # call ends only if that many threads, the caller among them, run chunks
+    # at once: a layout with an idle caller, or with fewer threads, times out
+    monkeypatch.setattr(sim, "_available_cpus", lambda: n_cpus)
+    n_threads = min(n_cpus, 4)
+    barrier = threading.Barrier(n_threads, timeout=30)
+
+    def chunk(size, rng):
+        barrier.wait()
+        return threading.get_ident()
+
+    before = threading.active_count()
+    seen = sim._map_chunks(chunk, 0, 4 * sim._CHUNK)
+    assert len(seen) == 4
+    assert len(set(seen)) == n_threads
+    assert threading.get_ident() in seen
+    assert threading.active_count() == before
+
+
 def test_each_chunk_is_claimed_once_under_frequent_thread_switches(monkeypatch):
     # more threads than cores and a short switch interval: a chunk claimed
     # twice would draw from its generator twice and change its result
