@@ -31,7 +31,6 @@ from .model import (
     ValidationError,
     _require_positive_finite,
     check_policy,
-    derived_noise_powers,
 )
 
 __all__ = [
@@ -107,11 +106,9 @@ def total_noise_covariance(model: SystemModel) -> np.ndarray:
     ((sigma_theta^2 + sigma_ob_k^2)(sigma_theta^2 + sigma_ob_j^2)).
     """
     st = model.sigma_theta_sq
-    k_nodes = model.n_nodes
-    ob = np.empty(k_nodes)
-    qu = np.empty(k_nodes)
-    for k in range(k_nodes):
-        ob[k], qu[k] = derived_noise_powers(model, k)
+    # the IEEE operations of derived_noise_powers, on every node at once
+    ob = st / model.gamma_ob_array()
+    qu = (st + ob) / (1.0 + model.gamma_ch_array())
     ratio = qu / (st + ob)  # equals u_k = 1/(1+gamma_ch)
     cov = st * np.outer(ratio, ratio)
     np.fill_diagonal(cov, ob + qu - 2.0 * ob * qu / (st + ob))

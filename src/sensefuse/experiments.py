@@ -6,8 +6,12 @@ carry the seed and every parameter they depend on, and all randomness is
 derived from the recorded seed, so re-running any row reproduces it byte
 for byte.
 
-Spec files are flat ``key = value`` text with ``#`` comments; values stay
-strings until the experiment coerces them.
+The greedy studies of Figs. 6-8 draw and search their instances through
+one pipeline, :func:`_searched_instances`, which checks K against the
+exhaustive search's limit before it draws any instance.
+
+Spec files are flat ``key = value`` UTF-8 text with ``#`` comments; values
+stay strings until the experiment coerces them.  Seeds are non-negative.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import analytic, optimize, simulate
-from .model import SystemModel, ValidationError, _require_positive_finite
+from .model import SystemModel, ValidationError, _require_positive_finite, _require_seed
 
 __all__ = [
     "ExperimentSpec",
@@ -63,7 +67,11 @@ def parse_spec_file(path) -> ExperimentSpec:
     name = None
     output = None
     params: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -223,99 +231,80 @@ def _fig5_fading(params: dict, seed: int):
     return rows
 
 
-def _instances(k: int, n_sim: int, seed: int, ch_spec, ob_spec) -> list[SystemModel]:
-    """The n_sim random K-node instances of the greedy studies."""
+def _searched_instances(ks, n_sim: int, seed: int, ch_spec, ob_spec, group_sizes):
+    """Per K of ``ks``: K, the n_sim random K-node instances, and their
+    searches: the exhaustive one under ``"global"`` and the group greedy one
+    of each distinct group size under that integer (size 1 is the pure
+    greedy search)."""
     if n_sim < 1:
         raise ValidationError(f"n_sim must be >= 1, got {n_sim}")
-    return [simulate.generate_instance(k, ch_spec, ob_spec,
-                                       derive_seed(seed, "instance", k, i))
-            for i in range(n_sim)]
+    optimize._require_global_size(max(ks))
+    for k in ks:
+        models = [simulate.generate_instance(k, ch_spec, ob_spec,
+                                             derive_seed(seed, "instance", k, i))
+                  for i in range(n_sim)]
+        found = {"global": optimize.global_search_batch(models)}
+        for size in group_sizes:
+            if size not in found:
+                found[size] = optimize.group_greedy_batch(models, size)
+        yield k, models, found
 
 
-def _searches(models, group_sizes) -> dict:
-    """Results of every search family over one batch of instances; the
-    pure greedy search is the group search with group size 1."""
-    out = {"global": optimize.global_search_batch(models),
-           "sorted": [optimize.sorted_greedy(m) for m in models]}
-    for size in dict.fromkeys([1, *group_sizes]):
-        out[f"group{size}"] = optimize.group_greedy_batch(models, size)
-    out["pure"] = out["group1"]
-    return out
+def _score(results, opt) -> tuple[float, float]:
+    """Normalized distortion and policy error rate of one search family
+    against the exhaustive optimum of the same instances."""
+    return (optimize.normalized_distortion(results, opt),
+            optimize.policy_error_rate([r.policy for r in results],
+                                       [r.policy for r in opt]))
 
 
 def _fig6_hybrid(params: dict, seed: int):
     ks = _k_range(params, 2, 10)
     n_sim = _get(params, "n_sim", 300, int)
     group_size = _get(params, "group_size", 10, int)
-    ch_spec, ob_spec = _instance_specs(params)
     rows = []
-    for k in ks:
-        models = _instances(k, n_sim, seed, ch_spec, ob_spec)
-        searches = _searches(models, [group_size])
-        sums = {name: 0.0 for name in
-                ("opt", "coded", "uncoded", "pure", "sorted", "group")}
-        for i, model in enumerate(models):
-            sums["opt"] += searches["global"][i].distortion
-            sums["coded"] += analytic.coded_hetero_distortion(model)
-            sums["uncoded"] += analytic.uncoded_hetero_distortion(model)
-            sums["pure"] += searches["pure"][i].distortion
-            sums["sorted"] += searches["sorted"][i].distortion
-            sums["group"] += searches[f"group{group_size}"][i].distortion
-        rows.append({
-            "seed": seed, "k": k, "n_sim": n_sim, "group_size": group_size,
-            "nd_coded": sums["coded"] / sums["opt"],
-            "nd_uncoded": sums["uncoded"] / sums["opt"],
-            "nd_pure": sums["pure"] / sums["opt"],
-            "nd_sorted": sums["sorted"] / sums["opt"],
-            "nd_group": sums["group"] / sums["opt"],
-        })
-    return rows
-
-
-def _greedy_metrics(k: int, n_sim: int, group_sizes, seed: int,
-                    ch_spec, ob_spec) -> dict:
-    """Normalized distortion and policy error rate of every algorithm over
-    n_sim random instances with K nodes."""
-    searches = _searches(_instances(k, n_sim, seed, ch_spec, ob_spec), group_sizes)
-    opt = searches["global"]
-    opt_policies = [r.policy for r in opt]
-    metrics = {}
-    for name in ["pure", "sorted"] + [f"group{size}" for size in group_sizes]:
-        metrics[name] = {
-            "normalized_distortion": optimize.normalized_distortion(
-                searches[name], opt),
-            "policy_error_rate": optimize.policy_error_rate(
-                [r.policy for r in searches[name]], opt_policies),
+    for k, models, found in _searched_instances(ks, n_sim, seed, *_instance_specs(params),
+                                                [1, group_size]):
+        families = {
+            "coded": map(analytic.coded_hetero_distortion, models),
+            "uncoded": map(analytic.uncoded_hetero_distortion, models),
+            "pure": (r.distortion for r in found[1]),
+            "sorted": (optimize.sorted_greedy(m).distortion for m in models),
+            "group": (r.distortion for r in found[group_size]),
         }
-    return metrics
+        opt = sum(r.distortion for r in found["global"])
+        rows.append({"seed": seed, "k": k, "n_sim": n_sim, "group_size": group_size,
+                     **{f"nd_{name}": sum(values) / opt
+                        for name, values in families.items()}})
+    return rows
 
 
 def _fig7_greedy(params: dict, seed: int):
     sweep = _get(params, "sweep", "k", str)
     ch_spec, ob_spec = _instance_specs(params)
-    rows = []
     if sweep == "k":
         ks = _k_range(params, 2, 12)
         n_sim = _get(params, "n_sim", 10_000, int)
         group_sizes = _get(params, "group_sizes", [1, 10, 32], _int_list)
-        grid = [(k, n_sim) for k in ks]
     elif sweep == "l":
-        k = _get(params, "k", 10, int)
+        ks = [_get(params, "k", 10, int)]
         n_sim = _get(params, "n_sim", 5_000, int)
         group_sizes = _get(params, "group_sizes", [1, 2, 4, 8, 16, 32], _int_list)
-        grid = [(k, n_sim)]
     else:
         raise ValidationError(f"unknown sweep {sweep!r} (expected 'k' or 'l')")
-    for k, n in grid:
-        metrics = _greedy_metrics(k, n, group_sizes, seed, ch_spec, ob_spec)
-        for name, values in metrics.items():
-            group_size = int(name[5:]) if name.startswith("group") else 0
-            algorithm = "group" if name.startswith("group") else name
+    rows = []
+    for k, models, found in _searched_instances(ks, n_sim, seed, ch_spec, ob_spec,
+                                                [1, *group_sizes]):
+        # keyed by (algorithm, group size): a repeated group size is one row
+        families = {("pure", 0): found[1],
+                    ("sorted", 0): [optimize.sorted_greedy(m) for m in models]}
+        families.update((("group", size), found[size]) for size in group_sizes)
+        for (algorithm, group_size), results in families.items():
+            nd, eps = _score(results, found["global"])
             rows.append({
-                "seed": seed, "sweep": sweep, "k": k, "n_sim": n,
+                "seed": seed, "sweep": sweep, "k": k, "n_sim": n_sim,
                 "algorithm": algorithm, "group_size": group_size,
-                "normalized_distortion": values["normalized_distortion"],
-                "policy_error_rate": values["policy_error_rate"],
+                "normalized_distortion": nd, "policy_error_rate": eps,
             })
     return rows
 
@@ -326,26 +315,23 @@ def run_random_error_study(k: int, group_sizes, n_sim: int, seed: int,
     """Group greedy versus random policy errors.
 
     For each group size L the group greedy policy error rate eps(L) is
-    measured against the exhaustive optimum (so K <= 24, which
-    :func:`optimize.global_search_batch` enforces); random policies are then
-    produced by flipping each optimal bit independently with probability
-    eps(L), eps(L)/2, and eps(L)/3, and all four families are reported as
-    normalized distortions.
+    measured against the exhaustive optimum (so K <= 24, checked before any
+    instance is drawn); random policies are then produced by flipping each
+    optimal bit independently with probability eps(L), eps(L)/2, and
+    eps(L)/3, and all four families are reported as normalized distortions.
+    A group size listed twice repeats its row.
     """
     group_sizes = _int_list(group_sizes)
-    models = _instances(k, n_sim, seed, ch_spec, ob_spec)
+    [(_, models, found)] = _searched_instances([k], n_sim, seed, ch_spec, ob_spec,
+                                               group_sizes)
+    opt = found["global"]
     terms = [analytic.link_terms(m) for m in models]
-    opt = optimize.global_search_batch(models)
-    opt_dists = [r.distortion for r in opt]
     opt_bits = np.array([r.policy.rho for r in opt], dtype=bool)
-    mean_opt = sum(opt_dists) / n_sim
+    mean_opt = sum(r.distortion for r in opt) / n_sim
 
     rows = []
     for size in group_sizes:
-        group = optimize.group_greedy_batch(models, size)
-        eps = optimize.policy_error_rate(
-            [r.policy for r in group], [r.policy for r in opt])
-        nd_group = optimize.normalized_distortion(group, opt_dists)
+        nd_group, eps = _score(found[size], opt)
         row = {
             "seed": seed, "k": k, "n_sim": n_sim, "group_size": size,
             "policy_error_rate": eps, "nd_group": nd_group,
@@ -499,6 +485,7 @@ def run_experiment(spec: ExperimentSpec, seed: Optional[int] = None,
         raise ValidationError(f"unknown format {fmt!r} (expected csv or json)")
     if seed is None:
         seed = _get(spec.params, "seed", 0, int)
+    _require_seed(seed)
     rows = EXPERIMENTS[spec.name](spec.params, int(seed))
     path = _resolve_output(spec, out, fmt)
     if fmt == "csv":

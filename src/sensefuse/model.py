@@ -30,6 +30,12 @@ def _require_positive_finite(value: float, what: str) -> None:
         raise ValidationError(f"nonpositive {what}: {value!r}")
 
 
+def _require_seed(seed: int) -> None:
+    """Reject a seed numpy's SeedSequence cannot take."""
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+
+
 @dataclass(frozen=True)
 class SensorLink:
     """One node-channel pair: observation SNR and channel SNR (linear scale)."""
@@ -218,4 +224,7 @@ def coding_rates(model: SystemModel, k: int) -> tuple[float, float]:
 
 def snr_from_db(value_db: float) -> float:
     """Convert a decibel SNR to the linear scale used everywhere internally."""
-    return 10.0 ** (value_db / 10.0)
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        raise ValidationError(f"SNR of {value_db!r} dB is out of range") from None

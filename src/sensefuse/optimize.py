@@ -103,14 +103,18 @@ def _search_by_size(models: Sequence[SystemModel], search) -> list[PolicySearchR
     return results
 
 
+def _require_global_size(n_nodes: int) -> None:
+    """Reject a node count beyond the exhaustive search's limit."""
+    if n_nodes > GLOBAL_SEARCH_MAX_NODES:
+        raise ValidationError(
+            f"global search is limited to K <= {GLOBAL_SEARCH_MAX_NODES}, got {n_nodes}")
+
+
 def global_search_batch(models: Sequence[SystemModel]) -> list[PolicySearchResult]:
     """:func:`global_search` of every model, in input order."""
     models = list(models)
     for m in models:
-        if m.n_nodes > GLOBAL_SEARCH_MAX_NODES:
-            raise ValidationError(
-                f"global search is limited to K <= {GLOBAL_SEARCH_MAX_NODES}, "
-                f"got {m.n_nodes}")
+        _require_global_size(m.n_nodes)
     return _search_by_size(models, _global_policies)
 
 

@@ -49,6 +49,7 @@ from .model import (
     SystemModel,
     ValidationError,
     _require_positive_finite,
+    _require_seed,
     check_policy,
 )
 
@@ -101,6 +102,7 @@ def _philox(seed_seq: np.random.SeedSequence) -> np.random.Generator:
 def _chunk_streams(seed: int, n_items: int) -> list:
     """Deterministic per-chunk ``(size, generator)`` pairs; chunking is a
     pure function of n_items so results cannot depend on scheduling."""
+    _require_seed(seed)
     n_chunks = (n_items + _CHUNK - 1) // _CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     return [(min(_CHUNK, n_items - i * _CHUNK), _philox(child))

@@ -113,7 +113,7 @@ def _fig6_rows(seed, ks, n_sim, group_size):
     return rows
 
 
-def _fig7_rows(seed, ks, n_sim, group_sizes):
+def _fig7_rows(seed, ks, n_sim, group_sizes, sweep="k"):
     rows = []
     for k in ks:
         models = _instances(k, n_sim, seed)
@@ -124,7 +124,7 @@ def _fig7_rows(seed, ks, n_sim, group_sizes):
             found[("group", size)] = [op.group_greedy(m, size) for m in models]
         for (algorithm, size), results in found.items():
             rows.append({
-                "seed": seed, "sweep": "k", "k": k, "n_sim": n_sim,
+                "seed": seed, "sweep": sweep, "k": k, "n_sim": n_sim,
                 "algorithm": algorithm, "group_size": size,
                 "normalized_distortion": op.normalized_distortion(results, opt),
                 "policy_error_rate": op.policy_error_rate(
@@ -163,8 +163,18 @@ def _fig8_rows(seed, k, n_sim, group_sizes):
     ("fig7_greedy", {"sweep": "k", "k_min": "3", "k_max": "7", "n_sim": "8",
                      "group_sizes": "1,2,32"},
      lambda seed: _fig7_rows(seed, range(3, 8), 8, (1, 2, 32))),
+    ("fig7_greedy", {"sweep": "l", "k": "6", "n_sim": "8", "group_sizes": "1,4,16"},
+     lambda seed: _fig7_rows(seed, [6], 8, (1, 4, 16), sweep="l")),
+    # a repeated group size is one fig7 row per K, and one fig8 row per listing
+    ("fig7_greedy", {"sweep": "k", "k_min": "4", "k_max": "6", "n_sim": "6",
+                     "group_sizes": "32,1,1,4"},
+     lambda seed: _fig7_rows(seed, range(4, 7), 6, (32, 1, 1, 4))),
     ("fig8_random_errors", {"k": "7", "n_sim": "10", "group_sizes": "1,3,16"},
      lambda seed: _fig8_rows(seed, 7, 10, (1, 3, 16))),
+    ("fig8_random_errors", {"k": "6", "n_sim": "8", "group_sizes": "32,1,1,4"},
+     lambda seed: _fig8_rows(seed, 6, 8, (32, 1, 1, 4))),
+    ("fig8_random_errors", {"k": "6", "n_sim": "8", "group_sizes": "3,2"},
+     lambda seed: _fig8_rows(seed, 6, 8, (3, 2))),
 ])
 def test_study_csv_matches_per_instance_recomputation(tmp_path, name, params, reference):
     path = ex.run_experiment(ex.ExperimentSpec(name, params), seed=5,

@@ -12,6 +12,7 @@ import pytest
 
 from sensefuse import analytic as an
 from sensefuse import experiments as ex
+from sensefuse import simulate as sim
 from sensefuse.cli import cli_entry
 from sensefuse.model import ValidationError
 
@@ -49,6 +50,10 @@ def test_parse_spec_file_errors(tmp_path):
     empty.write_text("k_max = 3\n")
     with pytest.raises(ValidationError, match="missing 'experiment"):
         ex.parse_spec_file(empty)
+    binary = tmp_path / "binary.spec"
+    binary.write_bytes(b"experiment = fig3_d_vs_k\n\xff\xfe = 3\n")
+    with pytest.raises(ValidationError, match="binary.spec: not UTF-8"):
+        ex.parse_spec_file(binary)
 
 
 def test_unknown_experiment_rejected(tmp_path):
@@ -357,6 +362,11 @@ def test_cli_error_paths(tmp_path, capsys):
       "--policy", "11", "--trials", "1"], "n_trials"),
     (["eval", "--gamma-ob", "7,x", "--gamma-ch", "5,5", "--policy", "11"], "'x'"),
     (["run", "{spec}"], "k_min"),
+    (["eval", "--db", "--gamma-ob", "4000", "--gamma-ch", "5", "--policy", "1"],
+     "4000.0 dB"),
+    (["validate", "--k", "2", "--gamma-ob", "1", "--gamma-ch", "1",
+      "--policy", "11", "--trials", "100", "--seed", "-1"], "seed"),
+    (["run", "{spec}", "--seed", "-1"], "seed"),
 ])
 def test_cli_bad_input_gives_one_line_error(tmp_path, capsys, argv, needle):
     spec = tmp_path / "empty.spec"
@@ -395,6 +405,7 @@ def test_cli_run_rejects_nonpositive_or_nonfinite_parameter(tmp_path, capsys, ex
     ("fig7_greedy", "sweep = l\ngroup_sizes = 1,x", "'group_sizes'"),
     ("fig8_random_errors", "group_sizes = 2.5", "'group_sizes'"),
     ("fig7_greedy", "sweep = x", "unknown sweep 'x'"),
+    ("fig6_hybrid", "seed = -4", "seed must be a non-negative integer, got -4"),
 ])
 def test_cli_run_rejects_bad_greedy_study_parameter(tmp_path, capsys, experiment, lines,
                                                     needle):
@@ -406,6 +417,27 @@ def test_cli_run_rejects_bad_greedy_study_parameter(tmp_path, capsys, experiment
     assert rc == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert needle in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lines, k", [
+    ("experiment = fig6_hybrid\nk_max = 25", 25),
+    ("experiment = fig7_greedy\nk_max = 25", 25),
+    ("experiment = fig7_greedy\nsweep = l\nk = 25", 25),
+    ("experiment = fig7_greedy\nsweep = l\nk = 10000000000", 10000000000),
+    ("experiment = fig8_random_errors\nk = 25", 25),
+    ("experiment = fig8_random_errors\nk = 10000000000", 10000000000),
+])
+def test_cli_greedy_studies_check_k_before_drawing(tmp_path, capsys, monkeypatch, lines, k):
+    drawn = []
+    monkeypatch.setattr(sim, "generate_instance", lambda *args, **kw: drawn.append(args))
+    spec = tmp_path / "big.spec"
+    spec.write_text(f"{lines}\n")
+    out = tmp_path / "rows.csv"
+    rc = cli_entry(["run", str(spec), "--out", str(out)])
+    assert capsys.readouterr().err == f"error: global search is limited to K <= 24, got {k}\n"
+    assert rc == 1
+    assert drawn == []
     assert not out.exists()
 
 
