@@ -19,9 +19,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import os
 import zlib
 from dataclasses import dataclass, field
+from functools import reduce
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -232,10 +234,9 @@ def _fig5_fading(params: dict, seed: int):
 
 
 def _searched_instances(ks, n_sim: int, seed: int, ch_spec, ob_spec, group_sizes):
-    """Per K of ``ks``: K, the n_sim random K-node instances, and their
-    searches: the exhaustive one under ``"global"`` and the group greedy one
-    of each distinct group size under that integer (size 1 is the pure
-    greedy search)."""
+    """Per K of ``ks``: K, the n_sim random K-node instances, their
+    exhaustive search results, and a dict from each distinct group size to
+    its group greedy results (size 1 is the pure greedy search)."""
     if n_sim < 1:
         raise ValidationError(f"n_sim must be >= 1, got {n_sim}")
     optimize._require_global_size(max(ks))
@@ -243,11 +244,10 @@ def _searched_instances(ks, n_sim: int, seed: int, ch_spec, ob_spec, group_sizes
         models = [simulate.generate_instance(k, ch_spec, ob_spec,
                                              derive_seed(seed, "instance", k, i))
                   for i in range(n_sim)]
-        found = {"global": optimize.global_search_batch(models)}
-        for size in group_sizes:
-            if size not in found:
-                found[size] = optimize.group_greedy_batch(models, size)
-        yield k, models, found
+        opt = optimize.global_search_batch(models)
+        by_size = {size: optimize.group_greedy_batch(models, size)
+                   for size in dict.fromkeys(group_sizes)}
+        yield k, models, opt, by_size
 
 
 def _score(results, opt) -> tuple[float, float]:
@@ -263,18 +263,19 @@ def _fig6_hybrid(params: dict, seed: int):
     n_sim = _get(params, "n_sim", 300, int)
     group_size = _get(params, "group_size", 10, int)
     rows = []
-    for k, models, found in _searched_instances(ks, n_sim, seed, *_instance_specs(params),
-                                                [1, group_size]):
+    for k, models, opt, by_size in _searched_instances(
+            ks, n_sim, seed, *_instance_specs(params), [1, group_size]):
         families = {
             "coded": map(analytic.coded_hetero_distortion, models),
             "uncoded": map(analytic.uncoded_hetero_distortion, models),
-            "pure": (r.distortion for r in found[1]),
+            "pure": (r.distortion for r in by_size[1]),
             "sorted": (optimize.sorted_greedy(m).distortion for m in models),
-            "group": (r.distortion for r in found[group_size]),
+            "group": (r.distortion for r in by_size[group_size]),
         }
-        opt = sum(r.distortion for r in found["global"])
+        # left to right: from Python 3.12 on, built-in sum() compensates, changing bits
+        total_opt = reduce(operator.add, (r.distortion for r in opt), 0.0)
         rows.append({"seed": seed, "k": k, "n_sim": n_sim, "group_size": group_size,
-                     **{f"nd_{name}": sum(values) / opt
+                     **{f"nd_{name}": reduce(operator.add, values, 0.0) / total_opt
                         for name, values in families.items()}})
     return rows
 
@@ -293,14 +294,14 @@ def _fig7_greedy(params: dict, seed: int):
     else:
         raise ValidationError(f"unknown sweep {sweep!r} (expected 'k' or 'l')")
     rows = []
-    for k, models, found in _searched_instances(ks, n_sim, seed, ch_spec, ob_spec,
-                                                [1, *group_sizes]):
+    for k, models, opt, by_size in _searched_instances(ks, n_sim, seed, ch_spec, ob_spec,
+                                                       [1, *group_sizes]):
         # keyed by (algorithm, group size): a repeated group size is one row
-        families = {("pure", 0): found[1],
+        families = {("pure", 0): by_size[1],
                     ("sorted", 0): [optimize.sorted_greedy(m) for m in models]}
-        families.update((("group", size), found[size]) for size in group_sizes)
+        families.update((("group", size), by_size[size]) for size in group_sizes)
         for (algorithm, group_size), results in families.items():
-            nd, eps = _score(results, found["global"])
+            nd, eps = _score(results, opt)
             rows.append({
                 "seed": seed, "sweep": sweep, "k": k, "n_sim": n_sim,
                 "algorithm": algorithm, "group_size": group_size,
@@ -322,16 +323,15 @@ def run_random_error_study(k: int, group_sizes, n_sim: int, seed: int,
     A group size listed twice repeats its row.
     """
     group_sizes = _int_list(group_sizes)
-    [(_, models, found)] = _searched_instances([k], n_sim, seed, ch_spec, ob_spec,
-                                               group_sizes)
-    opt = found["global"]
+    [(_, models, opt, by_size)] = _searched_instances([k], n_sim, seed, ch_spec, ob_spec,
+                                                      group_sizes)
     terms = [analytic.link_terms(m) for m in models]
     opt_bits = np.array([r.policy.rho for r in opt], dtype=bool)
     mean_opt = sum(r.distortion for r in opt) / n_sim
 
     rows = []
     for size in group_sizes:
-        nd_group, eps = _score(found[size], opt)
+        nd_group, eps = _score(by_size[size], opt)
         row = {
             "seed": seed, "k": k, "n_sim": n_sim, "group_size": size,
             "policy_error_rate": eps, "nd_group": nd_group,
@@ -356,9 +356,7 @@ def _fig8_random_errors(params: dict, seed: int):
     k = _get(params, "k", 10, int)
     n_sim = _get(params, "n_sim", 5_000, int)
     group_sizes = _get(params, "group_sizes", [1, 2, 4, 8, 16, 32], _int_list)
-    ch_spec, ob_spec = _instance_specs(params)
-    return run_random_error_study(k, group_sizes, n_sim, seed,
-                                  ch_spec=ch_spec, ob_spec=ob_spec)
+    return run_random_error_study(k, group_sizes, n_sim, seed, *_instance_specs(params))
 
 
 def _tables_limits(params: dict, seed: int):
