@@ -550,30 +550,17 @@ def crossover_node_count_total(gamma_ob: float, gamma_total: float) -> float:
 # ---------------------------------------------------------------------------
 
 def sherman_morrison_check(model: SystemModel) -> float:
-    """Invert the coded noise covariance both by the rank-one update identity
-    and by a generic factorization; return the max elementwise relative
+    """Invert the coded noise covariance by the rank-one update identity,
+    (diag(a) - b b^T / (1 + sum c)) / sigma_theta^2 with a, b, c the coded
+    :func:`link_terms`, and by a generic inverse of
+    :func:`total_noise_covariance`; return the max elementwise relative
     deviation between the two inverses.
-
-    The covariance decomposes as Lambda + b u u^T with Lambda =
-    sigma_theta^2 diag(lambda_k), u_k = 1/(1+gamma_ch_k), b = sigma_theta^2.
     """
     if model.n_nodes > 64:
         raise ValidationError("rank-one check is limited to K <= 64")
-    gob = model.gamma_ob_array()
-    gch = model.gamma_ch_array()
-    st = model.sigma_theta_sq
-    u = 1.0 / (1.0 + gch)
-    lam_prime = st * (1.0 + gch + gob) * gch / ((1.0 + gch) ** 2 * gob)
-    cov = np.diag(lam_prime) + st * np.outer(u, u)
-
-    # rank-one route
-    inv_lam = 1.0 / lam_prime
-    w = inv_lam * u
-    denom = 1.0 + st * float(u @ w)
-    inv_rank_one = np.diag(inv_lam) - (st / denom) * np.outer(w, w)
-
-    # generic route
-    inv_generic = scipy.linalg.inv(cov)
+    a, b, c, _ = link_terms(model)
+    inv_rank_one = (np.diag(a) - np.outer(b, b) / (1.0 + c.sum())) / model.sigma_theta_sq
+    inv_generic = scipy.linalg.inv(total_noise_covariance(model))
 
     scale = np.maximum(np.abs(inv_rank_one), np.abs(inv_generic))
     scale[scale == 0.0] = 1.0

@@ -63,6 +63,8 @@ def _model_from_args(args) -> SystemModel:
     gch = _parse_snrs(args.gamma_ch, args.db)
     k = args.k
     if k is not None:
+        if k < 1:
+            raise ValidationError(f"--k must be >= 1, got {k}")
         if len(gob) == 1:
             gob = gob * k
         if len(gch) == 1:

@@ -131,6 +131,14 @@ def _int_list(text) -> list[int]:
     return [int(part) for part in str(text).split(",") if part.strip()]
 
 
+def _group_size_list(text) -> list[int]:
+    """The random-error study's group sizes: a row each, so at least one."""
+    sizes = _int_list(text)
+    if not sizes:
+        raise ValidationError("the random-error study needs at least one group size")
+    return sizes
+
+
 _DEFAULT_CH_SPEC = simulate.FoldedNormalSpec(target_mean=5.0, std_dev=1.5)
 _DEFAULT_OB_SPEC = simulate.FoldedNormalSpec(target_mean=7.0, std_dev=1.5)
 
@@ -240,6 +248,8 @@ def _searched_instances(ks, n_sim: int, seed: int, ch_spec, ob_spec, group_sizes
     if n_sim < 1:
         raise ValidationError(f"n_sim must be >= 1, got {n_sim}")
     optimize._require_global_size(max(ks))
+    for size in group_sizes:
+        optimize._require_group_size(size)
     for k in ks:
         models = [simulate.generate_instance(k, ch_spec, ob_spec,
                                              derive_seed(seed, "instance", k, i))
@@ -316,13 +326,14 @@ def run_random_error_study(k: int, group_sizes, n_sim: int, seed: int,
     """Group greedy versus random policy errors.
 
     For each group size L the group greedy policy error rate eps(L) is
-    measured against the exhaustive optimum (so K <= 24, checked before any
-    instance is drawn); random policies are then produced by flipping each
-    optimal bit independently with probability eps(L), eps(L)/2, and
-    eps(L)/3, and all four families are reported as normalized distortions.
+    measured against the exhaustive optimum (so K <= 24 and at least one
+    group size, each >= 1, checked before any instance is drawn); random
+    policies are then produced by flipping each optimal bit independently
+    with probability eps(L), eps(L)/2, and eps(L)/3, and all four families
+    are reported as normalized distortions.
     A group size listed twice repeats its row.
     """
-    group_sizes = _int_list(group_sizes)
+    group_sizes = _group_size_list(group_sizes)
     [(_, models, opt, by_size)] = _searched_instances([k], n_sim, seed, ch_spec, ob_spec,
                                                       group_sizes)
     terms = [analytic.link_terms(m) for m in models]
@@ -355,7 +366,7 @@ def run_random_error_study(k: int, group_sizes, n_sim: int, seed: int,
 def _fig8_random_errors(params: dict, seed: int):
     k = _get(params, "k", 10, int)
     n_sim = _get(params, "n_sim", 5_000, int)
-    group_sizes = _get(params, "group_sizes", [1, 2, 4, 8, 16, 32], _int_list)
+    group_sizes = _get(params, "group_sizes", [1, 2, 4, 8, 16, 32], _group_size_list)
     return run_random_error_study(k, group_sizes, n_sim, seed, *_instance_specs(params))
 
 

@@ -225,6 +225,9 @@ def coding_rates(model: SystemModel, k: int) -> tuple[float, float]:
 def snr_from_db(value_db: float) -> float:
     """Convert a decibel SNR to the linear scale used everywhere internally."""
     try:
-        return 10.0 ** (value_db / 10.0)
+        value = 10.0 ** (value_db / 10.0)
     except OverflowError:
-        raise ValidationError(f"SNR of {value_db!r} dB is out of range") from None
+        value = math.inf
+    if value in (0.0, math.inf):  # floats end near +3083 dB and -3237 dB
+        raise ValidationError(f"SNR of {value_db!r} dB is out of range")
+    return value

@@ -38,9 +38,11 @@ at twice the group size and doubles while an instance has fewer distinct
 children than the group holds, up to ``group_size * (step + 1)``, which
 always suffices; when the group can hold every partial policy of the next
 size, the head is every candidate.
-Children are deduplicated on packed (assigned, coded) node sets carried
-per beam row: one 64-bit key with the instance above the 2K node bits when
-that fits, else the instance and the packed words.
+A beam row carries its running sums, its packed (assigned, coded) node
+words, which close its taken nodes and deduplicate its children, and its
+choice record, from which both group engines rebuild their policies.  The
+dedup key is one 64-bit word with the instance above the 2K node bits when
+that fits, else the instance and the words.
 """
 
 from __future__ import annotations
@@ -186,12 +188,17 @@ def _global_policies(terms, st):
         yield [(code >> j) & 1 for j in range(k)], (), total
 
 
+def _require_group_size(group_size: int) -> None:
+    """Reject a group size below 1."""
+    if group_size < 1:
+        raise ValidationError(f"group size must be >= 1, got {group_size}")
+
+
 def group_greedy_batch(models: Sequence[SystemModel],
                        group_size: int) -> list[PolicySearchResult]:
     """:func:`group_greedy` of every model, in input order."""
     models = list(models)
-    if group_size < 1:
-        raise ValidationError(f"group size must be >= 1, got {group_size}")
+    _require_group_size(group_size)
     return _search_by_size(models, lambda terms, st: _beam_policies(terms, st, group_size))
 
 
@@ -260,7 +267,8 @@ def _select_children(cand, inst, rows, words, choice_words, group_size: int, ste
     :func:`numpy.partition` and only the head is sorted: every candidate up
     to the head's last distortion is a prefix of the order, so its first
     distinct children are the instance's first ones.  Returns the parent
-    row, choice (``2 node + uncoded``) and instance of each kept child.
+    row, choice (``2 node + uncoded``), instance and packed words of each
+    kept child.
     """
     n = len(rows)
     n_rows, k, _ = cand.shape
@@ -294,11 +302,11 @@ def _select_children(cand, inst, rows, words, choice_words, group_size: int, ste
         c_inst, pos = c_inst[rank], pos[rank]
         choice, c_slot = np.divmod(pos, slots)
         row = starts[c_inst] + c_slot
+        children = words[row] + choice_words[choice]
         if not dedup:
             break
-        first = _first_distinct(_child_keys(words[row] + choice_words[choice], c_inst, n,
-                                            2 * k))
-        row, choice, c_inst = row[first], choice[first], c_inst[first]
+        first = _first_distinct(_child_keys(children, c_inst, n, 2 * k))
+        row, choice, c_inst, children = (a[first] for a in (row, choice, c_inst, children))
         if cut is None or head >= bound:
             break
         # an instance short of distinct children whose head was cut needs more
@@ -306,20 +314,21 @@ def _select_children(cand, inst, rows, words, choice_words, group_size: int, ste
         if not (short & (cut < np.inf)).any():
             break
         head = min(2 * head, bound)
-    if n == 1:
-        return row[:group_size], choice[:group_size], c_inst[:group_size]
-    keep = np.arange(len(c_inst)) - np.searchsorted(c_inst, c_inst) < group_size
-    return row[keep], choice[keep], c_inst[keep]
+    keep = (slice(group_size) if n == 1
+            else np.arange(len(c_inst)) - np.searchsorted(c_inst, c_inst) < group_size)
+    return row[keep], choice[keep], c_inst[keep], children[keep]
 
 
 def _beam_policies(terms, st, group_size: int):
     """The beam engine over (instances, beam, nodes).
 
     Beam rows of all instances are stacked, grouped by instance; ``inst``
-    maps each row to its instance.  Each step evaluates every open
-    expansion and keeps, per instance, the first ``group_size`` distinct
-    children in (distortion, node, coded first, parent slot) order, by
-    :func:`_select_children`; group size 1 goes to :func:`_pure_policies`.
+    maps each row to its instance.  A row carries its sums, its words (the
+    low K bits close its taken nodes) and its choices (``2 node + uncoded``
+    per step).  Each step evaluates every open expansion and keeps, per
+    instance, the first ``group_size`` distinct children in (distortion,
+    node, coded first, parent slot) order, by :func:`_select_children`;
+    group size 1 goes to :func:`_pure_policies`.
     """
     terms = np.stack(terms)  # (4, instances, nodes): a, b, c, e
     _, n, k = terms.shape
@@ -330,23 +339,26 @@ def _beam_policies(terms, st, group_size: int):
     grow[3, :, :, 1] = terms[3]
     grow = grow.reshape(4, n, 2 * k)
     if group_size == 1:
+        # kept apart, as measured in-process on 2 vCPUs: the beam ran this case
+        # 2.5-2.8x slower, and the beam scored this way, with a per-row mask,
+        # ran 200 x K=10 at L=32 18% slower, at 31% more traced peak memory
         yield from _pure_policies(grow, st)
         return
     inst = np.arange(n)
     rows = np.ones(n, dtype=np.int64)  # beam rows per instance
-    assign = np.full((n, k), -1, dtype=np.int8)
-    order = np.zeros((n, k), dtype=np.int64)
     # per row: sums of a, b, c over its coded nodes and of e over its uncoded ones
     sums = np.zeros((4, n))
     evaluations = np.zeros(n, dtype=np.int64)
-    # packed (assigned, coded) node sets per row, for the dedup
+    # packed (assigned, coded) node sets per row: bit node is assigned
     choice_words = _choice_words(k)
     words = np.zeros((n, choice_words.shape[1]), dtype=np.uint64)
+    choices = np.empty((n, k), dtype=np.int64)
 
     for step in range(k):
         evaluations += 2 * (k - step) * rows
         s_a, s_b, s_c, s_e = sums
-        # with one row per instance, the rows are the instances
+        # one row per instance: the rows are the instances (this, the unpadded
+        # table and the one-instance branches save 14-18% of a one-model search)
         row_terms, row_st = (terms[:, inst], st[inst]) if len(inst) > n else (terms, st)
         den = np.empty((len(inst), k, 2))  # (rows, nodes, scheme)
         # rho = 1: coded term changes, uncoded sum unchanged
@@ -356,25 +368,23 @@ def _beam_policies(terms, st, group_size: int):
         np.add((_coded_inverse_term(s_a, s_b, s_c) + s_e)[:, None], row_terms[3],
                out=den[:, :, 1])
         cand = row_st[:, None, None] / den
-        # taken nodes and non-finite distortions are closed
+        # taken nodes and non-finite distortions are closed; little-endian
+        # bytes put bit node of the words at unpacked column node on any host
         cand[~np.isfinite(cand)] = np.inf
-        cand[assign >= 0] = np.inf
+        cand[np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=1,
+                           count=k, bitorder="little").view(bool)] = np.inf
 
-        parent, choice, inst = _select_children(cand, inst, rows, words, choice_words,
-                                                group_size, step)
+        parent, choice, inst, words = _select_children(
+            cand, inst, rows, words, choice_words, group_size, step)
         rows = np.bincount(inst, minlength=n)
         if not rows.all():
             raise ValidationError("no finite candidate distortion for some instance")
-        words = words[parent] + choice_words[choice]
-        assign, order, sums = assign[parent], order[parent], sums[:, parent]
-        node, uncoded = np.divmod(choice, 2)
-        assign[np.arange(len(inst)), node] = 1 - uncoded
-        order[:, step] = node
+        choices, sums = choices[parent], sums[:, parent]
+        choices[:, step] = choice
         sums = sums + grow[:, inst, choice]
 
     # rows of an instance are ascending in distortion; its first row wins
-    for i, row in enumerate(np.cumsum(rows) - rows):
-        yield assign[row].tolist(), order[row].tolist(), evaluations[i]
+    yield from zip(*_policies_of(choices[np.cumsum(rows) - rows]), evaluations)
 
 
 def _pure_policies(grow, st):
@@ -383,8 +393,7 @@ def _pure_policies(grow, st):
 
     All choices are scored in one ``(instances, 2K)`` expression: a choice
     adds 0.0 to the sums it leaves alone, which changes no bit.  A taken
-    node is closed by writing NaN into the instance's ``grow`` columns, and
-    the policies and visit orders are rebuilt from the choices at the end.
+    node is closed by writing NaN into the instance's ``grow`` columns.
     """
     _, n, width = grow.shape
     k = width // 2
@@ -403,11 +412,15 @@ def _pure_policies(grow, st):
         choices[:, step] = choice
         sums += grow[:, inst, choice, None]
         by_node[:, inst, choice // 2] = np.nan
+    yield from zip(*_policies_of(choices), [k * (k + 1)] * n)
+
+
+def _policies_of(choices):
+    """Policy bits and visit orders, as lists, of (instances, K) choice records."""
     node, uncoded = np.divmod(choices, 2)
-    policies = np.zeros((n, k), dtype=np.int8)
+    policies = np.zeros(choices.shape, dtype=np.int8)
     np.put_along_axis(policies, node, 1 - uncoded, axis=1)
-    for i in range(n):
-        yield policies[i].tolist(), node[i].tolist(), k * (k + 1)
+    return policies.tolist(), node.tolist()
 
 
 def exhaustive_group_size(n_nodes: int) -> int:

@@ -364,6 +364,11 @@ def test_cli_error_paths(tmp_path, capsys):
     (["run", "{spec}"], "k_min"),
     (["eval", "--db", "--gamma-ob", "4000", "--gamma-ch", "5", "--policy", "1"],
      "4000.0 dB"),
+    # 10 ** (dB / 10) underflows to 0.0; a bare -4000 would parse as a flag
+    (["eval", "--db", "--gamma-ob=-4000", "--gamma-ch", "5", "--policy", "1"],
+     "SNR of -4000.0 dB is out of range"),
+    (["solve", "--k", "-1", "--gamma-ob", "1", "--gamma-ch", "1"],
+     "--k must be >= 1, got -1"),
     (["validate", "--k", "2", "--gamma-ob", "1", "--gamma-ch", "1",
       "--policy", "11", "--trials", "100", "--seed", "-1"], "seed"),
     (["run", "{spec}", "--seed", "-1"], "seed"),
@@ -420,22 +425,33 @@ def test_cli_run_rejects_bad_greedy_study_parameter(tmp_path, capsys, experiment
     assert not out.exists()
 
 
-@pytest.mark.parametrize("lines, k", [
-    ("experiment = fig6_hybrid\nk_max = 25", 25),
-    ("experiment = fig7_greedy\nk_max = 25", 25),
-    ("experiment = fig7_greedy\nsweep = l\nk = 25", 25),
-    ("experiment = fig7_greedy\nsweep = l\nk = 10000000000", 10000000000),
-    ("experiment = fig8_random_errors\nk = 25", 25),
-    ("experiment = fig8_random_errors\nk = 10000000000", 10000000000),
+_K_LIMIT = "global search is limited to K <= 24, got {}"
+_GROUP_SIZE = "group size must be >= 1, got {}"
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("experiment = fig6_hybrid\nk_max = 25", _K_LIMIT.format(25)),
+    ("experiment = fig7_greedy\nk_max = 25", _K_LIMIT.format(25)),
+    ("experiment = fig7_greedy\nsweep = l\nk = 25", _K_LIMIT.format(25)),
+    ("experiment = fig7_greedy\nsweep = l\nk = 10000000000", _K_LIMIT.format(10000000000)),
+    ("experiment = fig8_random_errors\nk = 25", _K_LIMIT.format(25)),
+    ("experiment = fig8_random_errors\nk = 10000000000", _K_LIMIT.format(10000000000)),
+    ("experiment = fig6_hybrid\ngroup_size = 0", _GROUP_SIZE.format(0)),
+    ("experiment = fig7_greedy\ngroup_sizes = 4,0", _GROUP_SIZE.format(0)),
+    ("experiment = fig7_greedy\nsweep = l\ngroup_sizes = 2,-1", _GROUP_SIZE.format(-1)),
+    ("experiment = fig8_random_errors\nk = 12\ngroup_sizes = 0", _GROUP_SIZE.format(0)),
+    ("experiment = fig8_random_errors\ngroup_sizes =",
+     "bad value for parameter 'group_sizes': ''"),
 ])
-def test_cli_greedy_studies_check_k_before_drawing(tmp_path, capsys, monkeypatch, lines, k):
+def test_cli_greedy_studies_check_k_before_drawing(tmp_path, capsys, monkeypatch, lines,
+                                                   message):
     drawn = []
     monkeypatch.setattr(sim, "generate_instance", lambda *args, **kw: drawn.append(args))
     spec = tmp_path / "big.spec"
     spec.write_text(f"{lines}\n")
     out = tmp_path / "rows.csv"
     rc = cli_entry(["run", str(spec), "--out", str(out)])
-    assert capsys.readouterr().err == f"error: global search is limited to K <= 24, got {k}\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert rc == 1
     assert drawn == []
     assert not out.exists()

@@ -65,6 +65,11 @@ def _multi_block():
             for i, k in enumerate((13, 14, 15, 15, 16, 17))]
 
 
+def _past_one_word():
+    return ([random_instance(65, seed=6500 + i) for i in range(3)]
+            + [random_instance(100, seed=10000 + i) for i in range(3)])
+
+
 def _group(size):
     return (lambda m: op.group_greedy(m, size),
             lambda ms: op.group_greedy_batch(ms, size))
@@ -104,6 +109,8 @@ CASES = {
                         _group(400)),
     "K=60 group L=16": (lambda: [random_instance(60, seed=6000 + i) for i in range(3)],
                         _group(16)),
+    # assigned nodes past bit 63 of a row's first packed word
+    **{f"K=65,100 group L={size}": (_past_one_word, _group(size)) for size in (2, 8)},
     "K=250 pure": (lambda: [random_instance(250, seed=25000)],
                    (op.pure_greedy, lambda ms: op.group_greedy_batch(ms, 1))),
 }
@@ -119,6 +126,10 @@ PINNED = {
         "2e67408cdf5c06e14d1f8231dbdfb421a001033fe9c96e4d32210d072ad2b450",
     "K=60 group L=16":
         "4a69f81f225098c0617a5b5212913f2dd24ddfc95286ad4a8302a6fa056494b5",
+    "K=65,100 group L=2":
+        "e8a68604a8ac5449de4eb89abe3d70b5656bfa578b70bc711e34ef69b6b7d74d",
+    "K=65,100 group L=8":
+        "6d4019524427856823cdbb028696a2983a382e4d8e29bad823e2a3a138d4d034",
     "K=7 group L=400":
         "c0664bc4097caa2be53d68d18ec93652c70d406649de34d6c53526629fb87286",
     "criterion-07 exhaustive group size":
