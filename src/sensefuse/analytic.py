@@ -98,36 +98,22 @@ def quantization_cross_moments(sigma_theta_sq: float, sigma_ob_sq: float,
 
 
 def total_noise_covariance(model: SystemModel) -> np.ndarray:
-    """Covariance of the total noise n = n_qu - n_ob of an all-coded system.
-
-    Diagonal entries are sigma_ob^2 + sigma_qu^2 - 2 sigma_ob^2 sigma_qu^2 /
-    (sigma_theta^2 + sigma_ob^2); off-diagonal entries couple nodes k != j
-    through the source: sigma_theta^2 sigma_qu_k^2 sigma_qu_j^2 /
-    ((sigma_theta^2 + sigma_ob_k^2)(sigma_theta^2 + sigma_ob_j^2)).
-    """
-    st = model.sigma_theta_sq
-    # the IEEE operations of derived_noise_powers, on every node at once
-    ob = st / model.gamma_ob_array()
-    qu = (st + ob) / (1.0 + model.gamma_ch_array())
-    ratio = qu / (st + ob)  # equals u_k = 1/(1+gamma_ch)
-    cov = st * np.outer(ratio, ratio)
-    np.fill_diagonal(cov, ob + qu - 2.0 * ob * qu / (st + ob))
-    return cov
+    """Covariance sigma_theta^2 (diag(lambda) + u u^T) of the total noise
+    n = n_qu - n_ob of an all-coded system."""
+    return hybrid_noise_covariance(model, CodingPolicy.all_coded(model.n_nodes))
 
 
 def hybrid_noise_covariance(model: SystemModel, policy: CodingPolicy) -> np.ndarray:
-    """Block noise covariance of a hybrid system in the original node order.
-
-    Coded nodes carry the correlated total-noise block; uncoded nodes are
-    mutually independent with per-node power sigma_theta^2 d_k; the two
-    blocks are uncorrelated.
+    """Noise covariance sigma_theta^2 (diag(v) + w w^T) of a hybrid system in
+    the original node order, from the :func:`link_terms` (a, b, _, e): a
+    coded node has v = lambda = 1/a and w = u = b/a, an uncoded one v = d =
+    1/e and w = 0, so it is independent of every other node.
     """
     coded = np.array(check_policy(model, policy).rho, dtype=bool)
-    uncoded = ~coded
-    cov = np.where(np.outer(coded, coded), total_noise_covariance(model), 0.0)
-    cov[uncoded, uncoded] = model.sigma_theta_sq * _uncoded_noise(
-        model.gamma_ob_array()[uncoded], model.gamma_ch_array()[uncoded])
-    return cov
+    a, b, _, e = link_terms(model)
+    v = np.where(coded, 1.0 / a, 1.0 / e)
+    w = np.where(coded, b / a, 0.0)
+    return model.sigma_theta_sq * (np.diag(v) + np.outer(w, w))
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +124,8 @@ def _cho_solve_ones(cov) -> np.ndarray:
     m = np.asarray(cov, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"covariance must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValidationError("noise covariance is not finite")
     ones = np.ones(m.shape[0])
     try:
         factor = scipy.linalg.cho_factor(m, lower=True)
@@ -154,10 +142,9 @@ def blue_distortion(cov) -> float:
 
 
 def blue_weights(cov) -> np.ndarray:
-    """Optimal fusion weights f = Sigma^-1 1 / (1^T Sigma^-1 1), renormalized."""
+    """Optimal fusion weights f = Sigma^-1 1 / (1^T Sigma^-1 1)."""
     w = _cho_solve_ones(cov)
-    f = w / np.sum(w)
-    return f / np.sum(f)
+    return w / np.sum(w)
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +540,8 @@ def sherman_morrison_check(model: SystemModel) -> float:
     """Invert the coded noise covariance by the rank-one update identity,
     (diag(a) - b b^T / (1 + sum c)) / sigma_theta^2 with a, b, c the coded
     :func:`link_terms`, and by a generic inverse of
-    :func:`total_noise_covariance`; return the max elementwise relative
-    deviation between the two inverses.
+    :func:`total_noise_covariance`, which reads the same lambda and u; return
+    the max elementwise relative deviation between the two inverses.
     """
     if model.n_nodes > 64:
         raise ValidationError("rank-one check is limited to K <= 64")

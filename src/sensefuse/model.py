@@ -202,8 +202,13 @@ def derived_noise_powers(model: SystemModel, k: int) -> tuple[float, float]:
     distortion sigma_qu^2 = (sigma_theta^2 + sigma_ob^2) / (1 + gamma_ch).
     """
     link = model.links[k]  # raises IndexError when out of range
-    sigma_ob_sq = model.sigma_theta_sq / link.gamma_ob
-    sigma_qu_sq = (model.sigma_theta_sq + sigma_ob_sq) / (1.0 + link.gamma_ch)
+    return _noise_powers(model.sigma_theta_sq, link.gamma_ob, link.gamma_ch)
+
+
+def _noise_powers(sigma_theta_sq, gamma_ob, gamma_ch):
+    """:func:`derived_noise_powers` elementwise on floats or SNR arrays."""
+    sigma_ob_sq = sigma_theta_sq / gamma_ob
+    sigma_qu_sq = (sigma_theta_sq + sigma_ob_sq) / (1.0 + gamma_ch)
     return sigma_ob_sq, sigma_qu_sq
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -62,6 +63,16 @@ def test_total_noise_covariance_single_node_entry():
     assert an.total_noise_covariance(m)[0, 0] == pytest.approx(want, rel=1e-14)
 
 
+def test_total_noise_covariance_diagonal_at_low_snr():
+    # sigma_theta^2 (lambda + u^2) in exact arithmetic on the float inputs;
+    # the diagonal as ob + qu - 2 ob qu / (st + ob) cancels to 2.000244 here
+    g = 1e-12
+    o = c = Fraction(g)
+    want = float((1 + c + o) * c / ((1 + c) ** 2 * o) + 1 / (1 + c) ** 2)
+    diag = np.diag(an.total_noise_covariance(SystemModel.homogeneous(2, g, g)))
+    np.testing.assert_allclose(diag, want, rtol=1e-15, atol=0)
+
+
 def test_total_noise_covariance_positive_definite():
     for i in range(40):
         m = random_instance(int(np.random.default_rng(i).integers(1, 9)), seed=50 + i)
@@ -105,6 +116,14 @@ def test_blue_distortion_matches_homogeneous_closed_form():
 def test_blue_distortion_rejects_indefinite():
     with pytest.raises(ValidationError, match="positive definite"):
         an.blue_distortion(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def test_blue_rejects_non_finite_covariance():
+    for bad in (np.array([[np.inf]]), np.array([[1.0, np.nan], [np.nan, 1.0]])):
+        with pytest.raises(ValidationError, match="not finite"):
+            an.blue_distortion(bad)
+        with pytest.raises(ValidationError, match="not finite"):
+            an.blue_weights(bad)
 
 
 def test_blue_rejects_non_square_covariance():
@@ -225,6 +244,18 @@ def test_hybrid_matches_block_blue_on_random_models(rng):
         assert direct == pytest.approx(oracle, rel=1e-10)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the coded term A - B^2/(1+C) "
+                   "cancels when one coded node has a tiny observation SNR and another "
+                   "a tiny channel SNR")
+def test_hybrid_distortion_with_tiny_snrs_on_coded_nodes():
+    # the exact value on the float inputs is 7/16 - 1.5e-101; the closed
+    # form gives 0.7778, while the Monte Carlo estimate through the dense
+    # covariance reads 0.438 +- 0.002
+    m = SystemModel.from_snrs([1e-150, 5.0, 3.0], [5.0, 1e-100, 3.0])
+    d = an.hybrid_distortion(m, CodingPolicy((1, 1, 0))).total
+    assert d == pytest.approx(float(Fraction(7, 16)), rel=1e-12)
+
+
 def test_hybrid_length_mismatch():
     m = SystemModel.homogeneous(3, 1.0, 1.0)
     with pytest.raises(ValidationError, match="length"):
@@ -238,6 +269,10 @@ def test_hybrid_length_mismatch():
 def test_sherman_morrison_scalar_case():
     m = SystemModel(1.0, (SensorLink(7.0, 5.0),))
     assert an.sherman_morrison_check(m) < 1e-12
+
+
+def test_sherman_morrison_at_low_snr():
+    assert an.sherman_morrison_check(SystemModel.homogeneous(2, 1e-12, 1e-12)) < 1e-12
 
 
 def test_sherman_morrison_small_models():

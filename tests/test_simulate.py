@@ -293,19 +293,10 @@ def _sequential_trials(model, policy, n_trials, seed):
     """The trial estimator with its chunks one after another and the
     forward model of :func:`simulate.sample_recovery` on whole chunks."""
     weights = an.blue_weights(an.hybrid_noise_covariance(model, policy))
-    st, gch = model.sigma_theta_sq, model.gamma_ch_array()
-    sigma_ob = np.sqrt(st / model.gamma_ob_array())
-    s2 = st + sigma_ob ** 2
-    sigma_qu_sq = s2 / (1.0 + gch)
-    beta = sigma_qu_sq / s2
-    coded = np.array(policy.rho, dtype=bool)
-    gain = np.where(coded, 1.0 - beta, 1.0)
-    noise_scale = np.where(coded, np.sqrt(sigma_qu_sq * (1.0 - beta)), np.sqrt(s2 / gch))
     total = total_sq = 0.0
     for size, rng in sim._chunk_streams(seed, n_trials):
-        theta = math.sqrt(st) * rng.standard_normal(size)
-        obs = theta[:, None] + sigma_ob * rng.standard_normal((size, model.n_nodes))
-        x = noise_scale * rng.standard_normal((size, model.n_nodes)) + gain * obs
+        theta = math.sqrt(model.sigma_theta_sq) * rng.standard_normal(size)
+        x, _ = sim.sample_recovery(theta, model, policy, rng)
         err = x @ weights - theta
         sq = err * err
         total += float(sq.sum())
