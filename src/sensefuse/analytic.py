@@ -29,6 +29,8 @@ from .model import (
     CodingPolicy,
     SystemModel,
     ValidationError,
+    _require_all_positive_finite,
+    _require_count,
     _require_positive_finite,
     check_policy,
 )
@@ -89,10 +91,8 @@ def quantization_cross_moments(sigma_theta_sq: float, sigma_ob_sq: float,
     sigma_theta^2) and E[n_qu theta] = sigma_theta^2 sigma_qu^2 /
     (sigma_ob^2 + sigma_theta^2).
     """
-    for name, v in (("sigma_theta_sq", sigma_theta_sq),
-                    ("sigma_ob_sq", sigma_ob_sq),
-                    ("sigma_qu_sq", sigma_qu_sq)):
-        _require_positive_finite(v, name)
+    _require_all_positive_finite(sigma_theta_sq=sigma_theta_sq, sigma_ob_sq=sigma_ob_sq,
+                                 sigma_qu_sq=sigma_qu_sq)
     denom = sigma_ob_sq + sigma_theta_sq
     return sigma_ob_sq * sigma_qu_sq / denom, sigma_theta_sq * sigma_qu_sq / denom
 
@@ -237,8 +237,9 @@ def coded_homo_distortion(n_nodes: int, gamma_ob: float, gamma_ch: float,
     D = (sigma_theta^2/K) (gamma_ch/((1+gamma_ch) gamma_ob)
         + (K+gamma_ch)/(1+gamma_ch)^2).
     """
-    if n_nodes < 1:
-        raise ValidationError(f"node count must be >= 1, got {n_nodes}")
+    _require_count(n_nodes, "node count")
+    _require_all_positive_finite(gamma_ob=gamma_ob, gamma_ch=gamma_ch,
+                                 sigma_theta_sq=sigma_theta_sq)
     k = float(n_nodes)
     return sigma_theta_sq / k * (
         gamma_ch / ((1.0 + gamma_ch) * gamma_ob)
@@ -247,6 +248,7 @@ def coded_homo_distortion(n_nodes: int, gamma_ob: float, gamma_ch: float,
 
 def coded_homo_distortion_limit(gamma_ch: float, sigma_theta_sq: float = 1.0) -> float:
     """K -> infinity limit of the all-coded homogeneous distortion."""
+    _require_all_positive_finite(gamma_ch=gamma_ch, sigma_theta_sq=sigma_theta_sq)
     return sigma_theta_sq / (1.0 + gamma_ch) ** 2
 
 
@@ -260,8 +262,9 @@ def uncoded_homo_distortion(n_nodes: int, gamma_ob: float, gamma_ch: float,
                             sigma_theta_sq: float = 1.0) -> float:
     """Uncoded homogeneous distortion (sigma_theta^2/K) d with
     d = 1/gamma_ob + 1/gamma_ch + 1/(gamma_ob gamma_ch)."""
-    if n_nodes < 1:
-        raise ValidationError(f"node count must be >= 1, got {n_nodes}")
+    _require_count(n_nodes, "node count")
+    _require_all_positive_finite(gamma_ob=gamma_ob, gamma_ch=gamma_ch,
+                                 sigma_theta_sq=sigma_theta_sq)
     return sigma_theta_sq * _uncoded_noise(gamma_ob, gamma_ch) / n_nodes
 
 
@@ -318,12 +321,14 @@ def limiting_distortion(scheme: str, ob_regime: str, ch_regime: str,
         raise ValidationError(
             f"unknown regime ({ob_regime!r}, {ch_regime!r}); "
             f"expected one of {_REGIMES}")
-    if n_nodes < 1:
-        raise ValidationError(f"node count must be >= 1, got {n_nodes}")
-    if ob_regime == "finite" and gamma_ob is None:
-        raise ValidationError("finite observation regime requires gamma_ob")
-    if ch_regime == "finite" and gamma_ch is None:
-        raise ValidationError("finite channel regime requires gamma_ch")
+    _require_count(n_nodes, "node count")
+    _require_positive_finite(sigma_theta_sq, "sigma_theta_sq")
+    for regime, axis, name, snr in ((ob_regime, "observation", "gamma_ob", gamma_ob),
+                                    (ch_regime, "channel", "gamma_ch", gamma_ch)):
+        if regime == "finite":
+            if snr is None:
+                raise ValidationError(f"finite {axis} regime requires {name}")
+            _require_positive_finite(snr, name)
     st = sigma_theta_sq
     k = float(n_nodes)
 
@@ -364,8 +369,8 @@ def total_power_distortions(n_nodes: float, gamma_ob: float, gamma_total: float,
     Equivalent to the individual-power formulas with gamma_ch =
     gamma_total / K; accepts fractional K (continuous node count).
     """
-    if n_nodes <= 0:
-        raise ValidationError(f"node count must be positive, got {n_nodes}")
+    _require_all_positive_finite(n_nodes=n_nodes, gamma_ob=gamma_ob,
+                                 gamma_total=gamma_total, sigma_theta_sq=sigma_theta_sq)
     k = float(n_nodes)
     st = sigma_theta_sq
     coded = st * (gamma_total / (k * (k + gamma_total) * gamma_ob)
@@ -379,6 +384,8 @@ def total_power_distortion_limits(gamma_ob: float, gamma_total: float,
                                   sigma_theta_sq: float = 1.0) -> tuple[float, float]:
     """K -> infinity limits: coded converges to sigma_theta^2, uncoded to
     sigma_theta^2 (1/gamma_total + 1/(gamma_ob gamma_total))."""
+    _require_all_positive_finite(gamma_ob=gamma_ob, gamma_total=gamma_total,
+                                 sigma_theta_sq=sigma_theta_sq)
     return (sigma_theta_sq,
             sigma_theta_sq * (1.0 / gamma_total + 1.0 / (gamma_ob * gamma_total)))
 
@@ -397,8 +404,8 @@ def coded_wins_homo(n_nodes: int, gamma_ob: float, gamma_ch: float) -> bool:
     whenever (K-2) gamma_ch <= 1.  Exact ties (equal distortions) count as
     a loss for the coded scheme.
     """
-    if n_nodes < 1:
-        raise ValidationError(f"node count must be >= 1, got {n_nodes}")
+    _require_count(n_nodes, "node count")
+    _require_all_positive_finite(gamma_ob=gamma_ob, gamma_ch=gamma_ch)
     gob = Fraction(gamma_ob)
     gch = Fraction(gamma_ch)
     return gob * ((n_nodes - 2) * gch - 1) < (gch + 1) * (2 * gch + 1)
@@ -407,8 +414,8 @@ def coded_wins_homo(n_nodes: int, gamma_ob: float, gamma_ch: float) -> bool:
 def coded_wins_total(n_nodes: int, gamma_ob: float, gamma_total: float) -> bool:
     """Total-power analogue of :func:`coded_wins_homo`: the homogeneous
     condition at gamma_ch = gamma_total / K, taken exactly."""
-    if n_nodes < 1:
-        raise ValidationError(f"node count must be >= 1, got {n_nodes}")
+    _require_count(n_nodes, "node count")
+    _require_positive_finite(gamma_total, "gamma_total")
     return coded_wins_homo(n_nodes, gamma_ob, Fraction(gamma_total) / n_nodes)
 
 
@@ -444,8 +451,7 @@ def coded_wins_hetero(model: SystemModel) -> bool:
 def gamma_ob_star(n_nodes: int) -> float:
     """Observation-SNR bound below which coded wins for every channel SNR:
     (3K-2 + 2 sqrt(2(K^2-K))) / (K-2)^2, defined for K >= 3."""
-    if n_nodes < 3:
-        raise ValidationError(f"gamma_ob_star requires K >= 3, got {n_nodes}")
+    _require_count(n_nodes, "node count", 3)
     k = float(n_nodes)
     return (3.0 * k - 2.0 + 2.0 * math.sqrt(2.0 * (k * k - k))) / (k - 2.0) ** 2
 
@@ -465,8 +471,8 @@ def coded_region_channel_roots(n_nodes: int, gamma_ob: float
     never cancels as b > 0; the other is (gamma_ob + 1) / (2 r), from the
     product of the roots.  A root above the float maximum is ``inf``.
     """
-    if n_nodes < 3:
-        raise ValidationError(f"channel roots require K >= 3, got {n_nodes}")
+    _require_count(n_nodes, "node count", 3)
+    _require_positive_finite(gamma_ob, "gamma_ob")
     gob = Fraction(gamma_ob)
     base = (n_nodes - 2) * gob - 3
     disc = base * base - 8 * (gob + 1)
@@ -509,6 +515,7 @@ def crossover_node_count(gamma_ob: float, gamma_ch: float) -> float:
     positive SNR pair, because uncoded wins at large K; sigma_theta^2
     scales both distortions and cancels out.  Evaluated exactly on the
     float inputs and rounded once; ``inf`` above the float maximum."""
+    _require_all_positive_finite(gamma_ob=gamma_ob, gamma_ch=gamma_ch)
     gob = Fraction(gamma_ob)
     gch = Fraction(gamma_ch)
     return _rounded(2 + 1 / gch + (gch + 1) * (2 * gch + 1) / (gob * gch))
@@ -523,6 +530,7 @@ def crossover_node_count_total(gamma_ob: float, gamma_total: float) -> float:
     Evaluated exactly on the float inputs, with the square root taken in
     integers to 100 bits, and rounded once; ``inf`` above the float maximum.
     sigma_theta^2 scales both distortions and cancels out."""
+    _require_all_positive_finite(gamma_ob=gamma_ob, gamma_total=gamma_total)
     gob = Fraction(gamma_ob)
     gt = Fraction(gamma_total)
     a = gob * gt - gob - 1
@@ -601,11 +609,9 @@ def fading_coded_homo_distortion(n_nodes: int, gamma_ob: float, gamma_ch: float,
             + (gamma_ob-1) e^z E_1(z) / (nu gamma_ob gamma_ch)
             + (K-1) e^z E_2(z) / (nu gamma_ch) ],   z = 1/(nu gamma_ch).
     """
-    if n_nodes < 1:
-        raise ValidationError(f"node count must be >= 1, got {n_nodes}")
-    for name, v in (("gamma_ob", gamma_ob), ("gamma_ch", gamma_ch), ("nu", nu)):
-        if not v > 0:
-            raise ValidationError(f"nonpositive {name}: {v!r}")
+    _require_count(n_nodes, "node count")
+    _require_all_positive_finite(gamma_ob=gamma_ob, gamma_ch=gamma_ch, nu=nu,
+                                 sigma_theta_sq=sigma_theta_sq)
     z = 1.0 / (nu * gamma_ch)
     e1 = _exp_scaled_en(1, z)
     e2 = _exp_scaled_en(2, z)

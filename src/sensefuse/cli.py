@@ -21,7 +21,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import analytic, experiments, optimize, simulate
-from .model import CodingPolicy, SystemModel, ValidationError, snr_from_db
+from .model import CodingPolicy, SystemModel, ValidationError, _require_count, snr_from_db
 
 _ALGORITHMS = {
     "global": lambda model, args: optimize.global_search(model),
@@ -63,8 +63,7 @@ def _model_from_args(args) -> SystemModel:
     gch = _parse_snrs(args.gamma_ch, args.db)
     k = args.k
     if k is not None:
-        if k < 1:
-            raise ValidationError(f"--k must be >= 1, got {k}")
+        _require_count(k, "--k")
         if len(gob) == 1:
             gob = gob * k
         if len(gch) == 1:

@@ -7,8 +7,8 @@ derived from the recorded seed, so re-running any row reproduces it byte
 for byte.
 
 The greedy studies of Figs. 6-8 draw and search their instances through
-one pipeline, :func:`_searched_instances`, which checks K against the
-exhaustive search's limit before it draws any instance.
+one pipeline, :func:`_searched_instances`, which checks that K is at least
+1 and within the exhaustive search's limit before it draws any instance.
 
 Spec files are flat ``key = value`` UTF-8 text with ``#`` comments; values
 stay strings until the experiment coerces them.  Seeds are non-negative.
@@ -30,7 +30,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import analytic, optimize, simulate
-from .model import SystemModel, ValidationError, _require_positive_finite, _require_seed
+from .model import (SystemModel, ValidationError, _require_count, _require_positive_finite,
+                    _require_seed)
 
 __all__ = [
     "ExperimentSpec",
@@ -120,8 +121,7 @@ def _positive_float(text) -> float:
 def _positive_int(text) -> int:
     """Spec-file cast of a grid size."""
     value = int(text)
-    if value < 1:
-        raise ValueError(f"expected a positive integer, got {value}")
+    _require_count(value, "parameter")
     return value
 
 
@@ -147,7 +147,8 @@ def _k_range(params: dict, default_min: int, default_max: int) -> range:
     """The node counts ``k_min..k_max`` of a K sweep."""
     k_min = _get(params, "k_min", default_min, int)
     k_max = _get(params, "k_max", default_max, int)
-    if not 1 <= k_min <= k_max:
+    _require_count(k_min, "k_min")
+    if k_min > k_max:
         raise ValidationError(
             f"bad node-count range: need 1 <= k_min <= k_max, "
             f"got k_min = {k_min}, k_max = {k_max}")
@@ -245,11 +246,11 @@ def _searched_instances(ks, n_sim: int, seed: int, ch_spec, ob_spec, group_sizes
     """Per K of ``ks``: K, the n_sim random K-node instances, their
     exhaustive search results, and a dict from each distinct group size to
     its group greedy results (size 1 is the pure greedy search)."""
-    if n_sim < 1:
-        raise ValidationError(f"n_sim must be >= 1, got {n_sim}")
+    _require_count(n_sim, "n_sim")
+    _require_count(min(ks), "node count")  # before derive_seed meets a negative K
     optimize._require_global_size(max(ks))
     for size in group_sizes:
-        optimize._require_group_size(size)
+        _require_count(size, "group size")
     for k in ks:
         models = [simulate.generate_instance(k, ch_spec, ob_spec,
                                              derive_seed(seed, "instance", k, i))
@@ -338,7 +339,8 @@ def run_random_error_study(k: int, group_sizes, n_sim: int, seed: int,
                                                       group_sizes)
     terms = [analytic.link_terms(m) for m in models]
     opt_bits = np.array([r.policy.rho for r in opt], dtype=bool)
-    mean_opt = sum(r.distortion for r in opt) / n_sim
+    # left to right: from Python 3.12 on, built-in sum() compensates, changing bits
+    mean_opt = reduce(operator.add, (r.distortion for r in opt), 0.0) / n_sim
 
     rows = []
     for size in group_sizes:

@@ -8,6 +8,10 @@ center over an orthogonal Gaussian channel with channel SNR ``gamma_ch``
 
 Everything here is immutable and purely functional; instances can be
 shared freely across threads.
+
+The input rules are written here once: :func:`validate` checks models, and
+the scalar entry points check counts with :func:`_require_count` and SNRs,
+powers and fading means with :func:`_require_all_positive_finite`.
 """
 
 from __future__ import annotations
@@ -28,6 +32,18 @@ def _require_positive_finite(value: float, what: str) -> None:
         raise ValidationError(f"{what} is infinite")
     if value <= 0:
         raise ValidationError(f"nonpositive {what}: {value!r}")
+
+
+def _require_all_positive_finite(**values: float) -> None:
+    """:func:`_require_positive_finite` of each value, named by its keyword."""
+    for what, value in values.items():
+        _require_positive_finite(value, what)
+
+
+def _require_count(value: float, what: str, minimum: int = 1) -> None:
+    """Reject a count below ``minimum``, NaN or infinity."""
+    if not minimum <= value < math.inf:
+        raise ValidationError(f"{what} must be >= {minimum}, got {value}")
 
 
 def _require_seed(seed: int) -> None:
@@ -233,6 +249,6 @@ def snr_from_db(value_db: float) -> float:
         value = 10.0 ** (value_db / 10.0)
     except OverflowError:
         value = math.inf
-    if value in (0.0, math.inf):  # floats end near +3083 dB and -3237 dB
+    if not 0.0 < value < math.inf:  # floats end near +3083 dB and -3237 dB; NaN fails
         raise ValidationError(f"SNR of {value_db!r} dB is out of range")
     return value

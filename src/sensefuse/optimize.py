@@ -58,6 +58,7 @@ from .model import (
     PolicySearchResult,
     SystemModel,
     ValidationError,
+    _require_count,
 )
 
 __all__ = [
@@ -188,17 +189,11 @@ def _global_policies(terms, st):
         yield [(code >> j) & 1 for j in range(k)], (), total
 
 
-def _require_group_size(group_size: int) -> None:
-    """Reject a group size below 1."""
-    if group_size < 1:
-        raise ValidationError(f"group size must be >= 1, got {group_size}")
-
-
 def group_greedy_batch(models: Sequence[SystemModel],
                        group_size: int) -> list[PolicySearchResult]:
     """:func:`group_greedy` of every model, in input order."""
     models = list(models)
-    _require_group_size(group_size)
+    _require_count(group_size, "group size")
     return _search_by_size(models, lambda terms, st: _beam_policies(terms, st, group_size))
 
 
@@ -426,6 +421,7 @@ def _policies_of(choices):
 def exhaustive_group_size(n_nodes: int) -> int:
     """Smallest group size that provably turns the group greedy search into
     an exhaustive one: max_k C(K, k) 2^k distinct partial policies."""
+    _require_count(n_nodes, "node count")
     return max(_partial_policy_count(n_nodes, j) for j in range(n_nodes + 1))
 
 

@@ -49,6 +49,7 @@ from .model import (
     SystemModel,
     ValidationError,
     _noise_powers,
+    _require_count,
     _require_positive_finite,
     _require_seed,
     check_policy,
@@ -212,8 +213,7 @@ def generate_instance(n_nodes: int, ch_spec: FoldedNormalSpec,
                       sigma_theta_sq: float = 1.0) -> SystemModel:
     """Random heterogeneous system: channel and observation SNRs drawn from
     calibrated folded normal distributions (all draws strictly positive)."""
-    if n_nodes < 1:
-        raise ValidationError(f"node count must be >= 1, got {n_nodes}")
+    _require_count(n_nodes, "node count")
     rng = _philox(np.random.SeedSequence(seed))
     gch = np.abs(ch_spec.location + ch_spec.std_dev * rng.standard_normal(n_nodes))
     gob = np.abs(ob_spec.location + ob_spec.std_dev * rng.standard_normal(n_nodes))
@@ -285,9 +285,7 @@ def empirical_distortion(model: SystemModel, policy: CodingPolicy,
     their squares are added in chunk order, so the result is the same bit
     for bit on any number of cores.
     """
-    if n_trials < 2:
-        raise ValidationError(
-            f"n_trials must be >= 2 for a standard error, got {n_trials}")
+    _require_count(n_trials, "n_trials", 2)  # a standard error needs two
     # Cholesky weights, not the closed form's a - t b: that shares its
     # cancellation (gamma_ob 1e-150,5,3, gamma_ch 5,1e-100,3, policy 110:
     # exact D 0.4375, closed form 0.778, estimates 0.438 here, 0.772 by a - t b)
@@ -334,12 +332,10 @@ def fading_empirical_distortion(model: SystemModel, nu: float, n_blocks: int,
     finite average (instantaneous distortion scales like 1/h near h = 0),
     which the ``converged`` flag reports.
     """
-    if not nu > 0:
-        raise ValidationError(f"nonpositive fading mean: {nu!r}")
+    _require_positive_finite(nu, "fading mean")
     if scheme not in ("coded", "uncoded"):
         raise ValidationError(f"unknown scheme {scheme!r}")
-    if n_blocks < 1:
-        raise ValidationError(f"n_blocks must be >= 1, got {n_blocks}")
+    _require_count(n_blocks, "n_blocks")
     gob = model.gamma_ob_array()
     gch = model.gamma_ch_array()
     instant = (analytic._coded_distortion_rows if scheme == "coded"

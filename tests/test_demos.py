@@ -1,6 +1,8 @@
-"""Every demo script runs to completion without writing to stderr."""
+"""Every demo script and every ``python`` example block of the README runs
+to completion, in a fresh process, without writing to stderr."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,20 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$",
+                           (ROOT / "README.md").read_text(encoding="utf-8"),
+                           flags=re.MULTILINE | re.DOTALL)
+
+
+def _run_clean(args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    # run in a scratch directory: a demo may save a figure to its working directory
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_demos_found():
@@ -17,11 +33,14 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs_clean(demo, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    # run in a scratch directory: a demo may save a figure to its working directory
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
+    _run_clean([str(demo)], tmp_path)
+
+
+def test_readme_blocks_found():
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize("block", README_BLOCKS,
+                         ids=[f"block{i}" for i in range(len(README_BLOCKS))])
+def test_readme_block_runs_clean(block, tmp_path):
+    _run_clean(["-c", block], tmp_path)

@@ -443,6 +443,8 @@ _GROUP_SIZE = "group size must be >= 1, got {}"
     ("experiment = fig7_greedy\nsweep = l\nk = 10000000000", _K_LIMIT.format(10000000000)),
     ("experiment = fig8_random_errors\nk = 25", _K_LIMIT.format(25)),
     ("experiment = fig8_random_errors\nk = 10000000000", _K_LIMIT.format(10000000000)),
+    ("experiment = fig7_greedy\nsweep = l\nk = -1", "node count must be >= 1, got -1"),
+    ("experiment = fig8_random_errors\nk = 0", "node count must be >= 1, got 0"),
     ("experiment = fig6_hybrid\ngroup_size = 0", _GROUP_SIZE.format(0)),
     ("experiment = fig7_greedy\ngroup_sizes = 4,0", _GROUP_SIZE.format(0)),
     ("experiment = fig7_greedy\nsweep = l\ngroup_sizes = 2,-1", _GROUP_SIZE.format(-1)),

@@ -1,9 +1,12 @@
 """Package hygiene: exported names resolve, no module imports a name it
-never uses, and the property tests draw no literals from the library."""
+never uses, the input rules live in ``model`` and cover every scalar entry
+point, and the property tests draw no literals from the library."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -75,6 +78,78 @@ def test_validate_is_called_only_in_model():
                 if called == "validate":
                     callers.add(name)
     assert callers == {"model"}
+
+
+# parameter names of the counts, SNRs, powers and fading means a scalar
+# entry point takes
+_SCALAR_PARAMETER = re.compile(r"n_nodes|gamma_\w+|sigma_\w+|nu|n_trials|n_blocks")
+
+
+def test_every_scalar_entry_point_is_in_the_guard_table():
+    from test_input_guards import GUARDED
+
+    table = {fn: set(names) for fn, _, names in GUARDED}
+    unguarded = []
+    for name in ("analytic", "simulate"):
+        module = importlib.import_module(f"sensefuse.{name}")
+        for attr in module.__all__:
+            fn = getattr(module, attr)
+            if inspect.isfunction(fn):
+                params = {p for p in inspect.signature(fn).parameters
+                          if _SCALAR_PARAMETER.fullmatch(p)}
+                missing = sorted(params - table.get(fn, set()))
+                unguarded += [f"{name}.{attr}({p})" for p in missing]
+    assert unguarded == []
+
+
+def _fails_below_a_literal(test, negated=False) -> bool:
+    """Whether an ``if`` test holds for a value below a number literal:
+    ``x < 1``, ``x <= 0``, ``not x > 0``, ``not 1 <= x``."""
+    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+        return _fails_below_a_literal(test.operand, not negated)
+    if isinstance(test, ast.BoolOp):
+        return any(_fails_below_a_literal(value, negated) for value in test.values)
+    if not isinstance(test, ast.Compare):
+        return False
+    operands = [test.left, *test.comparators]
+    flipped = {ast.Lt: ast.Gt, ast.LtE: ast.GtE, ast.Gt: ast.Lt, ast.GtE: ast.LtE}
+    for left, op, right in zip(operands, test.ops, operands[1:]):
+        if _is_number(left) == _is_number(right):
+            continue  # no literal bound, or two literals
+        # as ``value op literal``
+        op = type(op) if _is_number(right) else flipped.get(type(op))
+        if op in ((ast.Gt, ast.GtE) if negated else (ast.Lt, ast.LtE)):
+            return True
+    return False
+
+
+def _is_number(node) -> bool:
+    return (isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+            and not isinstance(node.value, bool))
+
+
+def _raises_validation_error(body) -> bool:
+    return any(isinstance(stmt, ast.Raise) and isinstance(stmt.exc, ast.Call)
+               and getattr(stmt.exc.func, "id", None) == "ValidationError" for stmt in body)
+
+
+def test_counts_and_snrs_are_checked_only_by_the_model_guards():
+    # model._require_count and model._require_all_positive_finite hold the
+    # count and positive-finite rules; no other module writes them again
+    by_hand = set()
+    for name in MODULES:
+        if name == "model":
+            continue
+        tree = ast.parse((PACKAGE_DIR / f"{name}.py").read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    if (isinstance(node, ast.If) and _raises_validation_error(node.body)
+                            and _fails_below_a_literal(node.test)):
+                        by_hand.add(f"{name}.{func.name}")
+    # E_n(x) is defined at x = inf, which the positive-finite rule rejects,
+    # and its order must be a Python integer
+    assert by_hand == {"analytic.exp_integral_en"}
 
 
 def test_property_examples_do_not_draw_library_literals():
