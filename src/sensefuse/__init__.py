@@ -48,6 +48,7 @@ from .optimize import (
     policy_error_rate,
     pure_greedy,
     sorted_greedy,
+    sorted_greedy_batch,
 )
 from .simulate import (
     FoldedNormalSpec,

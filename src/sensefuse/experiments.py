@@ -9,6 +9,8 @@ for byte.
 The greedy studies of Figs. 6-8 draw and search their instances through
 one pipeline, :func:`_searched_instances`, which checks that K is at least
 1 and within the exhaustive search's limit before it draws any instance.
+Figs. 6 and 7 search their sorted family with one
+:func:`~sensefuse.optimize.sorted_greedy_batch` call per K.
 
 Spec files are flat ``key = value`` UTF-8 text with ``#`` comments; values
 stay strings until the experiment coerces them.  Seeds are non-negative.
@@ -261,6 +263,12 @@ def _searched_instances(ks, n_sim: int, seed: int, ch_spec, ob_spec, group_sizes
         yield k, models, opt, by_size
 
 
+def _left_sum(values) -> float:
+    """Sum of floats from left to right, as ``0.0 + v0 + v1 + ...``: from
+    Python 3.12 on, built-in ``sum()`` compensates, changing last bits."""
+    return reduce(operator.add, values, 0.0)
+
+
 def _score(results, opt) -> tuple[float, float]:
     """Normalized distortion and policy error rate of one search family
     against the exhaustive optimum of the same instances."""
@@ -280,13 +288,12 @@ def _fig6_hybrid(params: dict, seed: int):
             "coded": map(analytic.coded_hetero_distortion, models),
             "uncoded": map(analytic.uncoded_hetero_distortion, models),
             "pure": (r.distortion for r in by_size[1]),
-            "sorted": (optimize.sorted_greedy(m).distortion for m in models),
+            "sorted": (r.distortion for r in optimize.sorted_greedy_batch(models)),
             "group": (r.distortion for r in by_size[group_size]),
         }
-        # left to right: from Python 3.12 on, built-in sum() compensates, changing bits
-        total_opt = reduce(operator.add, (r.distortion for r in opt), 0.0)
+        total_opt = _left_sum(r.distortion for r in opt)
         rows.append({"seed": seed, "k": k, "n_sim": n_sim, "group_size": group_size,
-                     **{f"nd_{name}": reduce(operator.add, values, 0.0) / total_opt
+                     **{f"nd_{name}": _left_sum(values) / total_opt
                         for name, values in families.items()}})
     return rows
 
@@ -309,7 +316,7 @@ def _fig7_greedy(params: dict, seed: int):
                                                        [1, *group_sizes]):
         # keyed by (algorithm, group size): a repeated group size is one row
         families = {("pure", 0): by_size[1],
-                    ("sorted", 0): [optimize.sorted_greedy(m) for m in models]}
+                    ("sorted", 0): optimize.sorted_greedy_batch(models)}
         families.update((("group", size), by_size[size]) for size in group_sizes)
         for (algorithm, group_size), results in families.items():
             nd, eps = _score(results, opt)
@@ -339,8 +346,7 @@ def run_random_error_study(k: int, group_sizes, n_sim: int, seed: int,
                                                       group_sizes)
     terms = [analytic.link_terms(m) for m in models]
     opt_bits = np.array([r.policy.rho for r in opt], dtype=bool)
-    # left to right: from Python 3.12 on, built-in sum() compensates, changing bits
-    mean_opt = reduce(operator.add, (r.distortion for r in opt), 0.0) / n_sim
+    mean_opt = _left_sum(r.distortion for r in opt) / n_sim
 
     rows = []
     for size in group_sizes:
@@ -355,10 +361,9 @@ def run_random_error_study(k: int, group_sizes, n_sim: int, seed: int,
                 np.random.SeedSequence(derive_seed(seed, "flip", size, divisor))))
             # one draw for all instances: the same stream as a draw per instance
             flipped = opt_bits ^ (rng.random((n_sim, k)) < prob)
-            total = 0.0
-            for model, model_terms, bits in zip(models, terms, flipped):
-                total += analytic._hybrid_breakdown(
-                    model_terms, model.sigma_theta_sq, bits).total
+            total = _left_sum(
+                analytic._hybrid_breakdown(model_terms, model.sigma_theta_sq, bits).total
+                for model, model_terms, bits in zip(models, terms, flipped))
             row[f"flip_prob_{label}"] = prob
             row[f"nd_flip_{label}"] = total / n_sim / mean_opt
         rows.append(row)

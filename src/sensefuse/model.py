@@ -17,6 +17,7 @@ powers and fading means with :func:`_require_all_positive_finite`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -44,6 +45,14 @@ def _require_count(value: float, what: str, minimum: int = 1) -> None:
     """Reject a count below ``minimum``, NaN or infinity."""
     if not minimum <= value < math.inf:
         raise ValidationError(f"{what} must be >= {minimum}, got {value}")
+
+
+def _require_node_count(n_nodes: int) -> None:
+    """:func:`_require_count` of a model's or policy's node count, which must
+    also be an integer."""
+    _require_count(n_nodes, "node count")
+    if not isinstance(n_nodes, numbers.Integral):
+        raise ValidationError(f"node count must be an integer, got {n_nodes!r}")
 
 
 def _require_seed(seed: int) -> None:
@@ -103,6 +112,7 @@ class SystemModel:
     def homogeneous(cls, n_nodes: int, gamma_ob: float, gamma_ch: float,
                     sigma_theta_sq: float = 1.0, bandwidth: float = 1.0) -> "SystemModel":
         """K identical nodes and channels."""
+        _require_node_count(n_nodes)
         links = tuple(SensorLink(gamma_ob, gamma_ch) for _ in range(n_nodes))
         return cls(sigma_theta_sq, links, bandwidth)
 
@@ -146,10 +156,12 @@ class CodingPolicy:
 
     @classmethod
     def all_coded(cls, n_nodes: int) -> "CodingPolicy":
+        _require_node_count(n_nodes)
         return cls((1,) * n_nodes)
 
     @classmethod
     def all_uncoded(cls, n_nodes: int) -> "CodingPolicy":
+        _require_node_count(n_nodes)
         return cls((0,) * n_nodes)
 
     @classmethod

@@ -9,7 +9,7 @@ from sensefuse import experiments as ex
 from sensefuse import optimize as op
 from sensefuse import simulate as sim
 from sensefuse.experiments import derive_seed
-from sensefuse.model import CodingPolicy
+from sensefuse.model import CodingPolicy, ValidationError
 
 from conftest import CH_SPEC, OB_SPEC, random_instance
 
@@ -34,10 +34,14 @@ def test_batch_matches_single_on_criterion_07_instances():
     single = {
         "global": [op.global_search(m) for m in models],
         "pure": [op.pure_greedy(m) for m in models],
+        "sorted": [op.sorted_greedy(m) for m in models],
+        "sorted uncoded": [op.sorted_greedy(m, "uncoded") for m in models],
     }
     batch = {
         "global": op.global_search_batch,
         "pure": lambda ms: op.group_greedy_batch(ms, 1),
+        "sorted": op.sorted_greedy_batch,
+        "sorted uncoded": lambda ms: op.sorted_greedy_batch(ms, "uncoded"),
     }
     for name, search in batch.items():
         for k in range(1, 11):
@@ -56,6 +60,9 @@ def test_batch_matches_single_on_criterion_08_slice():
     for size in (1, 2, 4, 8, 16, 32):
         _assert_same(op.group_greedy_batch(models, size),
                      [op.group_greedy(m, size) for m in models])
+    for ranking in ("coded", "uncoded"):
+        _assert_same(op.sorted_greedy_batch(models, ranking),
+                     [op.sorted_greedy(m, ranking) for m in models])
 
 
 def test_batch_matches_single_above_k_39():
@@ -85,6 +92,10 @@ def test_child_keys_keep_every_bit_of_a_full_word():
 def test_batch_of_nothing():
     assert op.global_search_batch([]) == []
     assert op.group_greedy_batch([], 3) == []
+    assert op.sorted_greedy_batch([]) == []
+    # the ranking is checked before any work, even on no models
+    with pytest.raises(ValidationError, match="unknown ranking 'other'"):
+        op.sorted_greedy_batch([], "other")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Package hygiene: exported names resolve, no module imports a name it
-never uses, the input rules live in ``model`` and cover every scalar entry
-point, and the property tests draw no literals from the library."""
+never uses, every policy search goes through one batch front, the input
+rules live in ``model`` and cover every scalar entry point, and the
+property tests draw no literals from the library."""
 
 import ast
 import importlib
@@ -78,6 +79,28 @@ def test_validate_is_called_only_in_model():
                 if called == "validate":
                     callers.add(name)
     assert callers == {"model"}
+
+
+def test_every_search_goes_through_one_front():
+    # optimize._search_by_size alone stacks link terms and builds results,
+    # and each per-instance search is a batch of one
+    tree = ast.parse((PACKAGE_DIR / "optimize.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    callers = {name for name, func in functions.items() for node in ast.walk(func)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id in ("_refreshed_result", "_link_terms_of")}
+    assert callers == {"_search_by_size"}
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "link_terms" not in imported
+    for name, batch in (("global_search", "global_search_batch"),
+                        ("pure_greedy", "group_greedy_batch"),
+                        ("group_greedy", "group_greedy_batch"),
+                        ("sorted_greedy", "sorted_greedy_batch")):
+        body = functions[name].body
+        [stmt] = body[1:] if ast.get_docstring(functions[name]) else body
+        assert re.fullmatch(rf"return {batch}\(\[model\](, [^()]*)?\)\[0\]",
+                            ast.unparse(stmt)), name
 
 
 # parameter names of the counts, SNRs, powers and fading means a scalar

@@ -58,12 +58,18 @@ GUARDED = [
     (op.group_greedy, dict(model=_MODEL, group_size=2), ["group_size"]),
     (op.group_greedy_batch, dict(models=[_MODEL], group_size=2), ["group_size"]),
     (op.exhaustive_group_size, dict(n_nodes=3), ["n_nodes"]),
+    (SystemModel.homogeneous, dict(n_nodes=3, gamma_ob=7.0, gamma_ch=5.0), ["n_nodes"]),
+    (CodingPolicy.all_coded, dict(n_nodes=3), ["n_nodes"]),
+    (CodingPolicy.all_uncoded, dict(n_nodes=3), ["n_nodes"]),
     (ex.run_random_error_study, dict(k=3, group_sizes=[1], n_sim=2, seed=0),
      ["k", "n_sim"]),
 ]
 
+# a model or policy holds a whole number of nodes
+_NODE_COUNTS = {SystemModel.homogeneous, CodingPolicy.all_coded, CodingPolicy.all_uncoded}
+
 _CASES = [(fn, kwargs, name, bad) for fn, kwargs, names in GUARDED
-          for name in names for bad in BAD_VALUES]
+          for name in names for bad in BAD_VALUES + [2.5] * (fn in _NODE_COUNTS)]
 
 
 @pytest.mark.parametrize("fn, kwargs", [(fn, kwargs) for fn, kwargs, _ in GUARDED],
@@ -87,6 +93,9 @@ def test_snr_from_db_rejects_nan():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: an.coded_homo_distortion(0, 7.0, 5.0), "node count must be >= 1, got 0"),
+    (lambda: SystemModel.homogeneous(0, 7.0, 5.0), "node count must be >= 1, got 0"),
+    (lambda: CodingPolicy.all_coded(math.nan), "node count must be >= 1, got nan"),
+    (lambda: CodingPolicy.all_uncoded(2.5), "node count must be an integer, got 2.5"),
     (lambda: an.gamma_ob_star(2), "node count must be >= 3, got 2"),
     (lambda: sim.empirical_distortion(_MODEL, CodingPolicy((1, 1)), 1, 0),
      "n_trials must be >= 2, got 1"),

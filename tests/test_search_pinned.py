@@ -5,8 +5,9 @@ of every result with sha256.  The digests were recorded while the searches
 still ranked every candidate with a full stable sort, so they pin the
 tie-break (distortion, node, coded first, parent slot; for the exhaustive
 search more coded nodes, then the lexicographically smallest policy) and
-the arithmetic of every search family.  Each case runs per instance and
-as one batch.
+the arithmetic of every search family; the sorted-search digests were
+recorded while that search still built its own terms and result, one
+model at a time.  Each case runs per instance and as one batch.
 """
 
 import hashlib
@@ -75,6 +76,11 @@ def _group(size):
             lambda ms: op.group_greedy_batch(ms, size))
 
 
+def _sorted(ranking="coded"):
+    return (lambda m: op.sorted_greedy(m, ranking),
+            lambda ms: op.sorted_greedy_batch(ms, ranking))
+
+
 def _exhaustive_group(models):
     """Per-K batches at each K's exhaustive group size, in input order."""
     out = []
@@ -113,9 +119,24 @@ CASES = {
     **{f"K=65,100 group L={size}": (_past_one_word, _group(size)) for size in (2, 8)},
     "K=250 pure": (lambda: [random_instance(250, seed=25000)],
                    (op.pure_greedy, lambda ms: op.group_greedy_batch(ms, 1))),
+    "criterion-08 sorted": (_criterion_08, _sorted()),
+    "criterion-08 sorted uncoded": (_criterion_08, _sorted("uncoded")),
+    "homogeneous sorted": (_homogeneous, _sorted()),
+    "overflowing sorted": (_overflowing, _sorted()),
+    "K=400 sorted": (lambda: [random_instance(400, seed=40000)], _sorted()),
 }
 
 PINNED = {
+    "criterion-08 sorted":
+        "d278b50ca650fa5bb52751e4a2e202212ff25e48fabe65292e4d360744dc7fd0",
+    "criterion-08 sorted uncoded":
+        "4fb6c21b7cd4d294663bed6ad60e93d4a1f04d026673f069ef00ff6992c4cb6d",
+    "homogeneous sorted":
+        "d867e8620317e316d3d0d7bcee039b2e2a96ccd51f41ccdaeb2c788041270ebc",
+    "overflowing sorted":
+        "eb8b780e75849a133985143039c954a3a924aef855dd7aa62f89432e01c20446",
+    "K=400 sorted":
+        "e37f54003448db71574726ef2d593e4a135a7e56fad8b8e921ea91211ed1362b",
     "K=250 pure":
         "9e225a6993d871685abec8e62aedaf32b784de040c0521e345ec966d0f3e4163",
     "K=13..17 global":
