@@ -29,6 +29,14 @@ in chunk order, so every result is bit-identical to running the chunks
 one after another.  The helpers live for one call only.  Within a chunk,
 the row-wise array math runs on blocks of rows of about ``_BLOCK_ITEMS``
 items, so a chunk in flight holds its draws but only small temporaries.
+The fading estimator reduces each per-node term of a row block's
+distortions over the nodes with ``analytic._node_sum``: below 8 nodes by
+adding the node columns in node order, as plain IEEE adds, so that step
+gives the same bits on every host and equals numpy's row sum, which adds
+so few items in the same order but runs its loop once per row (measured
+over 16,384 rows of 2 nodes: 0.25 ms a sum against 0.02 ms); from 8
+nodes on by numpy's row sum, whose 8 accumulators node order does not
+match.
 """
 
 from __future__ import annotations

@@ -103,6 +103,35 @@ def test_every_search_goes_through_one_front():
                             ast.unparse(stmt)), name
 
 
+def _last_axis_sums(tree) -> set[str]:
+    """Names of the innermost functions holding a ``sum`` or ``reduce`` call
+    with a literal -1 among its arguments (``x.sum(axis=-1)``,
+    ``np.sum(x, -1)``, ``np.add.reduce(x, axis=-1)``)."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("sum", "reduce")
+                and any(ast.unparse(arg) == "-1"
+                        for arg in [*node.args, *(kw.value for kw in node.keywords)])):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_the_node_sum_reduces_over_the_node_axis():
+    # analytic._node_sum picks column adds or numpy's row sum by width; a
+    # row kernel that sums its nodes by itself would bypass that choice
+    found = {f"{name}.{where}" for name in ("analytic", "simulate")
+             for where in _last_axis_sums(
+                 ast.parse((PACKAGE_DIR / f"{name}.py").read_text(encoding="utf-8")))}
+    assert found == {"analytic._node_sum"}
+
+
 # parameter names of the counts, SNRs, powers and fading means a scalar
 # entry point takes
 _SCALAR_PARAMETER = re.compile(r"n_nodes|gamma_\w+|sigma_\w+|nu|n_trials|n_blocks")

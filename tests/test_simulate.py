@@ -192,22 +192,24 @@ def test_fading_shared_gain_matches_closed_form():
 @pytest.mark.parametrize("shared_gain", [False, True])
 def test_fading_evaluates_the_closed_forms_exactly(scheme, closed_form, shared_gain):
     # fewer than 8 blocks: numpy sums them in order, so the sample mean must
-    # equal the mean of the closed form over the faded models bit for bit
-    base = random_instance(6, seed=3)
-    m = SystemModel.from_snrs(base.gamma_ob_array(), base.gamma_ch_array(),
-                              sigma_theta_sq=2.5)
+    # equal the mean of the closed form over the faded models bit for bit;
+    # K = 6 and K = 9 sit on either side of the row kernels' switch from
+    # column adds to numpy's row sum
     nu, n_blocks = 0.9, 7
-    for seed in range(10):
-        stats = sim.fading_empirical_distortion(m, nu, n_blocks, seed, scheme=scheme,
-                                                shared_gain=shared_gain)
-        ((size, rng),) = sim._chunk_streams(seed, n_blocks)
-        h = -nu * np.log1p(-rng.random((size, 1 if shared_gain else m.n_nodes)))
-        faded = h * m.gamma_ch_array()[None, :]
-        want = [closed_form(SystemModel.from_snrs(m.gamma_ob_array(), row,
-                                                  sigma_theta_sq=m.sigma_theta_sq))
-                for row in faded]
-        assert stats.n_trials == n_blocks
-        assert stats.mean_sq_error == np.mean(want)
+    for base in (random_instance(6, seed=3), random_instance(9, seed=4)):
+        m = SystemModel.from_snrs(base.gamma_ob_array(), base.gamma_ch_array(),
+                                  sigma_theta_sq=2.5)
+        for seed in range(10):
+            stats = sim.fading_empirical_distortion(m, nu, n_blocks, seed, scheme=scheme,
+                                                    shared_gain=shared_gain)
+            ((size, rng),) = sim._chunk_streams(seed, n_blocks)
+            h = -nu * np.log1p(-rng.random((size, 1 if shared_gain else m.n_nodes)))
+            faded = h * m.gamma_ch_array()[None, :]
+            want = [closed_form(SystemModel.from_snrs(m.gamma_ob_array(), row,
+                                                      sigma_theta_sq=m.sigma_theta_sq))
+                    for row in faded]
+            assert stats.n_trials == n_blocks
+            assert stats.mean_sq_error == np.mean(want)
 
 
 def test_fading_gain_scale_invariance():
@@ -314,11 +316,24 @@ def cpus(request, monkeypatch):
     return request.param
 
 
-@pytest.mark.parametrize("n_blocks", _CHUNK_COUNTS)
+# K = 3 on every chunk count; K = 7 and K = 9, one on each side of the row
+# kernels' switch from column adds to numpy's row sum, on four ragged chunks
+_FADING_CASES = ([pytest.param(n, 3, id=str(n)) for n in _CHUNK_COUNTS]
+                 + [pytest.param(_CHUNK_COUNTS[-1], k, id=f"{_CHUNK_COUNTS[-1]}-K{k}")
+                    for k in (7, 9)])
+
+
+@pytest.mark.parametrize("n_blocks, n_nodes", _FADING_CASES)
 @pytest.mark.parametrize("shared_gain", [False, True])
 @pytest.mark.parametrize("scheme", ["coded", "uncoded"])
-def test_fading_chunks_match_the_sequential_estimator(cpus, n_blocks, shared_gain, scheme):
-    m = SystemModel.from_snrs([7.0, 0.3, 12.0], [5.0, 40.0, 0.8], sigma_theta_sq=1.7)
+def test_fading_chunks_match_the_sequential_estimator(cpus, n_blocks, n_nodes, shared_gain,
+                                                      scheme):
+    if n_nodes == 3:
+        m = SystemModel.from_snrs([7.0, 0.3, 12.0], [5.0, 40.0, 0.8], sigma_theta_sq=1.7)
+    else:  # SNRs over three decades, so the order of the node sums shows
+        m = SystemModel.from_snrs(np.geomspace(0.05, 50.0, n_nodes)[::-1],
+                                  np.roll(np.geomspace(0.1, 100.0, n_nodes), 2),
+                                  sigma_theta_sq=1.7)
     got = sim.fading_empirical_distortion(m, 0.9, n_blocks, seed=n_blocks, scheme=scheme,
                                           shared_gain=shared_gain)
     assert got == _sequential_fading(m, 0.9, n_blocks, n_blocks, scheme, shared_gain)
