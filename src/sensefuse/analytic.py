@@ -172,9 +172,12 @@ def _coded_link_terms(gob, gch):
     as it comes (the fading Monte Carlo, on (blocks, nodes) chunks) never
     holds all three temporaries at once, which measurably slows it.
     :func:`_coded_distortion_rows` reduces each with :func:`_node_sum`,
-    which below 8 nodes adds the node columns in node order: numpy's row
-    sum would run its loop once per row of so few items: the three sums
-    took about 0.75 ms of 1.55 ms on a block of 16,384 rows of 2 nodes.
+    which below ``_ROW_SUM_NODES`` nodes adds the node columns: numpy's row
+    sum would run its loop once per row of so few items (the three sums
+    took about 0.75 ms of 1.55 ms on a block of 16,384 rows of 2 nodes).
+    For the same reason the fading Monte Carlo passes ``gob`` in the
+    block's shape, as ``gch``, not as one row that ``t + gob`` and
+    ``t *= gob`` would broadcast.
 
     lambda = (1 + g_ch + g_ob) g_ch / ((1 + g_ch)^2 g_ob) is built in place
     from one array ``1 + g_ch``, in the same IEEE operations as that
@@ -207,26 +210,39 @@ def _coded_inverse_term(a_sum, b_sum, c_sum):
     return a_sum - b_sum * b_sum / (1.0 + c_sum)
 
 
-# numpy's pairwise sum adds fewer than 8 items one after another, from its
-# identity 0.0, so below this width plain column adds in node order are
-# the same sum bit for bit, and over (16,384 rows, 2 nodes) about 12x
-# faster than numpy's reduction, which runs its loop once per row; from 8
-# items numpy adds into 8 accumulators, which node order does not match,
-# so wider rows keep numpy's sum (from ~30 nodes also the faster one)
-_COLUMN_SUM_NODES = 8
+# numpy's pairwise sum adds a row of up to 128 items in a fixed order: fewer
+# than 8 one after another; else item k into accumulator k % 8 up to the
+# last multiple of 8, the accumulators as ((r0 + r1) + (r2 + r3)) + ((r4 +
+# r5) + (r6 + r7)), then the rest one after another; and the row's sum is
+# added to the identity 0.0.  Below this width that order, written as
+# column adds, is the same sum bit for bit and faster than numpy's
+# reduction, which runs its loop once per row (over 32,768 items: 23
+# against 249 us at K=2, 23 against 80 us at K=8, 38 against 48 us at
+# K=16); from here numpy's reduction is as fast or faster
+_ROW_SUM_NODES = 22
 
 
 def _node_sum(x):
     """``x.sum(axis=-1)`` bit for bit: the one reduction over the node axis
-    of the row kernels.  Below ``_COLUMN_SUM_NODES`` nodes it adds the
-    columns in node order, as plain IEEE adds, so its value does not depend
-    on the host's SIMD dispatch."""
+    of the row kernels.  Below ``_ROW_SUM_NODES`` nodes it adds the columns
+    in numpy's order, as plain IEEE adds, so its value does not depend on
+    the host's SIMD dispatch."""
     n_nodes = x.shape[-1]
-    if n_nodes >= _COLUMN_SUM_NODES:
+    if n_nodes >= _ROW_SUM_NODES:
         return x.sum(axis=-1)
-    total = x[..., 0] + 0.0  # from 0.0, as numpy: a row of -0.0 sums to +0.0
-    for k in range(1, n_nodes):
-        total += x[..., k]
+    columns = [x[..., k] for k in range(n_nodes)]
+    n_lanes = n_nodes - n_nodes % 8
+    if n_lanes:
+        lanes = columns[:8]
+        for k in range(8, n_lanes):
+            lanes[k % 8] = lanes[k % 8] + columns[k]
+        columns[:n_lanes] = [((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
+                             + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))]
+    # numpy adds the 0.0 last; adding it first moves only the sign of a
+    # zero on the way, and a row of -0.0 sums to +0.0 either way
+    total = columns[0] + 0.0
+    for column in columns[1:]:
+        total += column
     return total
 
 

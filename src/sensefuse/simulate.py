@@ -26,17 +26,28 @@ a thread pool with one helper per further available core, the helpers take
 chunks from its front, and the calling thread runs, from the back, each
 chunk no helper has started.  The estimators combine the per-chunk results
 in chunk order, so every result is bit-identical to running the chunks
-one after another.  The helpers live for one call only.  Within a chunk,
-the row-wise array math runs on blocks of rows of about ``_BLOCK_ITEMS``
-items, so a chunk in flight holds its draws but only small temporaries.
-The fading estimator reduces each per-node term of a row block's
-distortions over the nodes with ``analytic._node_sum``: below 8 nodes by
-adding the node columns in node order, as plain IEEE adds, so that step
-gives the same bits on every host and equals numpy's row sum, which adds
-so few items in the same order but runs its loop once per row (measured
-over 16,384 rows of 2 nodes: 0.25 ms a sum against 0.02 ms); from 8
-nodes on by numpy's row sum, whose 8 accumulators node order does not
-match.
+one after another.  The helpers live for one call only.
+
+Within a chunk the array math runs on blocks of rows of about
+``_BLOCK_ITEMS`` items (:func:`_row_blocks`), so a chunk in flight holds
+one float per trial or fading block and a few block-sized arrays, however
+many nodes the model has.  A trial chunk draws its source values first;
+then, block after block, it draws the observation noise, then the route
+noise (:func:`sample_recovery` draws in the same order), and fuses the
+block into the chunk's error vector.  A traced 65,536-trial call peaks at
+2.8 MiB at K = 8, 64 and 256 alike.  A row of per-node coefficients or
+SNRs enters the blocks in the block's shape (:func:`_block_shaped`):
+broadcast as one row, it would make numpy run its loop once per row.
+
+The sums over the nodes of a block (the fusion x.w and each per-node term
+of the fading distortions) go through ``analytic._node_sum``.  Below 22
+nodes it adds the node columns in numpy's own pairwise order, as plain
+IEEE adds: that equals numpy's row sum bit for bit, gives the same bits on
+every host, and is faster, as numpy's reduction runs its loop once per row
+(over 32,768 items: 23 against 249 us at K=2 and against 80 us at K=8).
+From 22 nodes on it is numpy's row sum.  No BLAS product enters the chain;
+the fusion weights come from the LAPACK Cholesky solve of
+``analytic.blue_weights``, whose last bits depend on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -119,10 +130,23 @@ def _chunk_streams(seed: int, n_items: int) -> list:
             for i, child in enumerate(children)]
 
 
+def _block_rows(n_cols: int) -> int:
+    return max(1, _BLOCK_ITEMS // n_cols)
+
+
 def _row_blocks(n_rows: int, n_cols: int):
     """Slices of consecutive rows, about ``_BLOCK_ITEMS`` items each."""
-    step = max(1, _BLOCK_ITEMS // n_cols)
+    step = _block_rows(n_cols)
     return (slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step))
+
+
+def _block_shaped(row: np.ndarray, n_rows: int) -> np.ndarray:
+    """``row`` repeated down the largest of the :func:`_row_blocks` of an
+    ``n_rows``-row array, for its blocks to slice.  numpy runs its loop
+    once per row when a (rows, K) array meets a (K,) operand, but once per
+    block when both have the block's shape: 10 against 113 us for a
+    product over 16,384 rows of 2 nodes."""
+    return np.tile(row, (min(n_rows, _block_rows(len(row))), 1))
 
 
 def _available_cpus() -> int:
@@ -232,6 +256,41 @@ def generate_instance(n_nodes: int, ch_spec: FoldedNormalSpec,
 # forward model
 # ---------------------------------------------------------------------------
 
+def _recovery_step(model: SystemModel, policy: CodingPolicy, n_rows: int):
+    """The forward model of a block of rows: ``recover(theta, obs, x, rng)``
+    draws the observation noise of the source values ``theta`` into
+    ``obs``, then their route noise into ``x``, and forms both in place
+    (``obs`` and ``x`` are C-contiguous, ``(len(theta), K)``).
+
+    The coefficients sigma_ob, gain and noise scale are formed once, here,
+    block-shaped (:func:`_block_shaped`) for the row blocks of an
+    ``n_rows``-row array.
+    """
+    st = model.sigma_theta_sq
+    gch = model.gamma_ch_array()
+    sigma_ob_sq, sigma_qu_sq = _noise_powers(st, model.gamma_ob_array(), gch)
+    s2 = st + sigma_ob_sq
+    beta = sigma_qu_sq / s2
+    coded = np.array(check_policy(model, policy).rho, dtype=bool)
+    sigma_ob = _block_shaped(np.sqrt(sigma_ob_sq), n_rows)
+    gain = _block_shaped(np.where(coded, 1.0 - beta, 1.0), n_rows)
+    noise_scale = _block_shaped(
+        np.where(coded, np.sqrt(sigma_qu_sq * (1.0 - beta)), np.sqrt(s2 / gch)), n_rows)
+
+    def recover(theta, obs, x, rng):
+        # scaled in place; IEEE sums and products commute, so the values
+        # are those of theta + sigma_ob * n and gain * obs + noise_scale * z
+        n = len(theta)
+        rng.standard_normal(out=obs)
+        obs *= sigma_ob[:n]
+        obs += theta[:, None]
+        rng.standard_normal(out=x)
+        x *= noise_scale[:n]
+        x += gain[:n] * obs
+
+    return recover
+
+
 def sample_recovery(theta, model: SystemModel, policy: CodingPolicy,
                     rng: np.random.Generator):
     """Sample every node's recovery x of source value(s) theta.
@@ -239,34 +298,20 @@ def sample_recovery(theta, model: SystemModel, policy: CodingPolicy,
     Returns ``(x, obs)`` with nodes on the last axis, ``obs`` being the
     noisy observations.  Coded nodes go through the test channel and
     uncoded nodes through the de-gained amplify-and-forward route (see the
-    module docstring).  All observation noise is drawn before all route
-    noise.
+    module docstring).  The source values, flattened, are taken in row
+    blocks of about ``_BLOCK_ITEMS`` draws (:func:`_row_blocks`): each
+    block's observation noise is drawn, then its route noise, then the
+    next block's.
     """
-    theta = np.asarray(theta, dtype=float)[..., None]
-    shape = theta.shape[:-1] + (model.n_nodes,)
-    st = model.sigma_theta_sq
-    gch = model.gamma_ch_array()
-    sigma_ob_sq, sigma_qu_sq = _noise_powers(st, model.gamma_ob_array(), gch)
-    sigma_ob = np.sqrt(sigma_ob_sq)
-    s2 = st + sigma_ob_sq
-    beta = sigma_qu_sq / s2
-    coded = np.array(check_policy(model, policy).rho, dtype=bool)
-    gain = np.where(coded, 1.0 - beta, 1.0)
-    noise_scale = np.where(coded, np.sqrt(sigma_qu_sq * (1.0 - beta)), np.sqrt(s2 / gch))
-    # scaled in place, so a chunk of trials allocates fewer temporaries;
-    # IEEE sums and products commute, so the values are those of
-    # theta + sigma_ob * n and gain * obs + noise_scale * z
-    obs = rng.standard_normal(shape)
-    obs *= sigma_ob
-    obs += theta
-    x = rng.standard_normal(shape)
-    x *= noise_scale
-    # gain * obs is added a block of rows at a time, so the product needs
-    # no temporary as large as the draws
-    x_rows, obs_rows = x.reshape(-1, model.n_nodes), obs.reshape(-1, model.n_nodes)
-    for rows in _row_blocks(len(x_rows), model.n_nodes):
-        x_rows[rows] += gain * obs_rows[rows]
-    return x, obs
+    theta = np.asarray(theta, dtype=float)
+    flat = theta.reshape(-1)
+    shape = (flat.size, model.n_nodes)
+    recover = _recovery_step(model, policy, flat.size)
+    x, obs = np.empty(shape), np.empty(shape)
+    for rows in _row_blocks(*shape):
+        recover(flat[rows], obs[rows], x[rows], rng)
+    shape = theta.shape + (model.n_nodes,)
+    return x.reshape(shape), obs.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -286,27 +331,38 @@ def empirical_distortion(model: SystemModel, policy: CodingPolicy,
                          n_trials: int, seed: int) -> TrialBatchStats:
     """Simulate the full chain and fuse with the analytic BLUE weights.
 
-    Per trial: draw theta, form each node's recovery with
-    :func:`sample_recovery`, fuse with the weights of the hybrid block
-    covariance, and take the squared error.  The chunks of trials run in
-    parallel (:func:`_map_chunks`); their sums of squared errors and of
-    their squares are added in chunk order, so the result is the same bit
-    for bit on any number of cores.
+    Per trial: draw theta, form each node's recovery with the forward
+    model of :func:`sample_recovery`, fuse with the weights of the hybrid
+    block covariance, and take the squared error.  A chunk draws all its
+    theta first, then recovers and fuses one row block at a time, so it
+    holds its theta, its errors and a few block-sized arrays, not a
+    recovery per node and trial.  The chunks of trials run in parallel
+    (:func:`_map_chunks`); their sums of squared errors and of their
+    squares are added in chunk order, so the result is the same bit for
+    bit on any number of cores.
     """
     _require_count(n_trials, "n_trials", 2)  # a standard error needs two
     # Cholesky weights, not the closed form's a - t b: that shares its
     # cancellation (gamma_ob 1e-150,5,3, gamma_ch 5,1e-100,3, policy 110:
     # exact D 0.4375, closed form 0.778, estimates 0.438 here, 0.772 by a - t b)
-    weights = analytic.blue_weights(analytic.hybrid_noise_covariance(model, policy))
+    weights = _block_shaped(
+        analytic.blue_weights(analytic.hybrid_noise_covariance(model, policy)), n_trials)
+    recover = _recovery_step(model, policy, n_trials)
     scale = math.sqrt(model.sigma_theta_sq)
 
     def chunk_sums(size, rng):
         theta = rng.standard_normal(size)
         theta *= scale
-        x, _ = sample_recovery(theta, model, policy, rng)
-        # the error and its powers in place: x @ w - theta, then sq, then sq^2
-        sq = x @ weights
-        sq -= theta
+        obs, x = np.empty(weights.shape), np.empty(weights.shape)
+        sq = np.empty(size)
+        for rows in _row_blocks(size, model.n_nodes):
+            n = rows.stop - rows.start
+            x_rows = x[:n]
+            recover(theta[rows], obs[:n], x_rows, rng)
+            # the fused error x.w - theta, summed by the node sum, not by BLAS
+            x_rows *= weights[:n]
+            np.subtract(analytic._node_sum(x_rows), theta[rows], out=sq[rows])
+        # the squared error and its square in place
         sq *= sq
         total = float(sq.sum())
         sq *= sq
@@ -344,25 +400,34 @@ def fading_empirical_distortion(model: SystemModel, nu: float, n_blocks: int,
     if scheme not in ("coded", "uncoded"):
         raise ValidationError(f"unknown scheme {scheme!r}")
     _require_count(n_blocks, "n_blocks")
-    gob = model.gamma_ob_array()
-    gch = model.gamma_ch_array()
+    n_nodes = model.n_nodes
+    gob = _block_shaped(model.gamma_ob_array(), n_blocks)
+    gch = _block_shaped(model.gamma_ch_array(), n_blocks)
     instant = (analytic._coded_distortion_rows if scheme == "coded"
                else analytic._uncoded_distortion_rows)
 
     def chunk_values(size, rng):
         values = np.empty(size)
-        for rows in _row_blocks(size, model.n_nodes):
+        for rows in _row_blocks(size, n_nodes):
+            n = rows.stop - rows.start
             # one row of faded channel SNRs per block, formed in place as
-            # -nu * log1p(-u) * gch; the observation SNRs broadcast
-            h = rng.random((rows.stop - rows.start, 1 if shared_gain else model.n_nodes))
+            # -nu * log1p(-u) * gch
+            h = rng.random((n, 1 if shared_gain else n_nodes))
             np.negative(h, out=h)
             np.log1p(h, out=h)
             h *= -nu
             if shared_gain:
-                h = h * gch
+                # one product per node column: the (rows, 1) gains times
+                # the SNRs would run numpy's loop once per row (98,304
+                # blocks on 1 CPU: 11.8 against 21.3 ms at K=8, 122 against
+                # 214 ms at K=100)
+                faded = np.empty((n, n_nodes))
+                for k in range(n_nodes):
+                    np.multiply(h[:, 0], gch[0, k], out=faded[:, k])
+                h = faded
             else:
-                h *= gch
-            values[rows] = instant(gob, h, model.sigma_theta_sq)
+                h *= gch[:n]
+            values[rows] = instant(gob[:n], h, model.sigma_theta_sq)
         return values
 
     values = np.concatenate(_map_chunks(chunk_values, seed, n_blocks))

@@ -288,6 +288,18 @@ def test_node_sum_is_numpys_row_sum_bit_for_bit(n_nodes, n_rows, decades):
     assert _same_bits(got, one_model.sum(axis=-1))
 
 
+@pytest.mark.parametrize("n_nodes", range(21, 33))
+def test_node_sum_matches_numpy_across_its_switch_to_the_row_sum(n_nodes):
+    # the column adds run below analytic._ROW_SUM_NODES = 22 nodes, numpy's
+    # row sum from there; both must give numpy's bits on either side
+    rng = np.random.default_rng(n_nodes)
+    for decades in (300, 1):
+        shape = (4096, n_nodes)
+        x = 10.0 ** rng.uniform(-decades, decades, shape) * rng.choice([-1.0, 1.0], shape)
+        x[0] = -0.0
+        assert _same_bits(an._node_sum(x), x.sum(axis=-1))
+
+
 # ---------------------------------------------------------------------------
 # Sherman-Morrison identity
 # ---------------------------------------------------------------------------

@@ -276,8 +276,8 @@ def test_cli_validate_json_pinned(tmp_path):
     assert rc == 0
     assert out.read_bytes() == (
         b'{\n  "policy": "1010",\n  "analytic": 0.13018387622954872,\n'
-        b'  "empirical": 0.13002893477400548,\n  "std_error": 0.0006960523069923251,\n'
-        b'  "n_trials": 70000,\n  "seed": 2718,\n  "z_score": -0.22260030458449762,\n'
+        b'  "empirical": 0.1295525946554402,\n  "std_error": 0.0006967424876548767,\n'
+        b'  "n_trials": 70000,\n  "seed": 2718,\n  "z_score": -0.9060471914570825,\n'
         b'  "within_3_sigma": true\n}\n')
 
 
@@ -291,8 +291,8 @@ def test_cli_validate_json_pinned_at_eight_nodes(tmp_path):
     assert rc == 0
     assert out.read_bytes() == (
         b'{\n  "policy": "10110010",\n  "analytic": 0.0696396407819017,\n'
-        b'  "empirical": 0.06937949624475735,\n  "std_error": 0.00031229387770186,\n'
-        b'  "n_trials": 98304,\n  "seed": 31,\n  "z_score": -0.8330119663527343,\n'
+        b'  "empirical": 0.0691834466269153,\n  "std_error": 0.00031417855341191316,\n'
+        b'  "n_trials": 98304,\n  "seed": 31,\n  "z_score": -1.4520219474952472,\n'
         b'  "within_3_sigma": true\n}\n')
 
 

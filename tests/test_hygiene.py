@@ -1,7 +1,8 @@
 """Package hygiene: exported names resolve, no module imports a name it
 never uses, every policy search goes through one batch front, the input
-rules live in ``model`` and cover every scalar entry point, and the
-property tests draw no literals from the library."""
+rules live in ``model`` and cover every scalar entry point, the Monte
+Carlo calls no BLAS product, and the property tests draw no literals from
+the library."""
 
 import ast
 import importlib
@@ -130,6 +131,20 @@ def test_only_the_node_sum_reduces_over_the_node_axis():
              for where in _last_axis_sums(
                  ast.parse((PACKAGE_DIR / f"{name}.py").read_text(encoding="utf-8")))}
     assert found == {"analytic._node_sum"}
+
+
+_BLAS_PRODUCTS = {"dot", "vdot", "matmul", "einsum", "inner", "tensordot"}
+
+
+def test_the_monte_carlo_calls_no_blas_product():
+    # a BLAS product rounds in the order of the host's kernel; the trial
+    # fusion x.w is a node sum (analytic._node_sum) instead
+    tree = ast.parse((PACKAGE_DIR / "simulate.py").read_text(encoding="utf-8"))
+    found = [ast.unparse(node) for node in ast.walk(tree)
+             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+             or isinstance(node, ast.Call) and (getattr(node.func, "attr", None)
+                                                or getattr(node.func, "id", None)) in _BLAS_PRODUCTS]
+    assert found == []
 
 
 # parameter names of the counts, SNRs, powers and fading means a scalar

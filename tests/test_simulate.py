@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,22 @@ def test_sample_recovery_puts_nodes_on_the_last_axis():
         sim.sample_recovery(0.5, m, CodingPolicy((1,)), _rng(0))
 
 
+def test_sample_recovery_draws_block_after_block():
+    # 30,000 values of 3 nodes are three row blocks; each block draws its
+    # observation noise and then its route noise, so three calls of one
+    # block each on the same generator give the same arrays
+    m = random_instance(3, seed=2)
+    pol = CodingPolicy((1, 0, 1))
+    theta = _rng(1).standard_normal(30_000)
+    x, obs = sim.sample_recovery(theta, m, pol, _rng(0))
+    rng = _rng(0)
+    parts = [sim.sample_recovery(theta[rows], m, pol, rng)
+             for rows in sim._row_blocks(len(theta), m.n_nodes)]
+    assert len(parts) == 3
+    np.testing.assert_array_equal(x, np.concatenate([part[0] for part in parts]))
+    np.testing.assert_array_equal(obs, np.concatenate([part[1] for part in parts]))
+
+
 @pytest.mark.parametrize("bits", [(1, 0, 1, 0), (0, 1, 1, 1), (0, 0, 1, 0)])
 def test_sampled_noise_covariance_matches_hybrid_covariance(bits):
     # 16 entries, each within 4 standard errors of the block covariance;
@@ -162,8 +179,31 @@ def test_empirical_distortion_pinned_stream():
     # the summation of the Monte Carlo chain moves these bits
     m = SystemModel.from_snrs(gamma_ob=[7.0, 3.0, 12.0, 0.5], gamma_ch=[5.0, 8.0, 2.0, 20.0])
     stats = sim.empirical_distortion(m, CodingPolicy((1, 0, 1, 0)), 70_000, seed=2718)
-    assert stats.mean_sq_error.hex() == "0x1.0a4c9c331ac4dp-3"
-    assert stats.std_error.hex() == "0x1.6cee8f28a0813p-11"
+    assert stats.mean_sq_error.hex() == "0x1.0952dee941a8bp-3"
+    assert stats.std_error.hex() == "0x1.6d4b3195efd90p-11"
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_trial_chunk_holds_no_recovery_per_node_and_trial(monkeypatch):
+    # one 65,536-trial chunk: holding every node's recovery of every trial
+    # took 9 MiB at K=8 and 257 MiB at K=256; a chunk that recovers and
+    # fuses one row block at a time needs the same few MiB at any K
+    monkeypatch.setattr(sim, "_available_cpus", lambda: 1)
+    peaks = {}
+    for k in (8, 256):
+        m = SystemModel.from_snrs(np.geomspace(0.5, 20.0, k), np.geomspace(30.0, 0.3, k))
+        policy = CodingPolicy(tuple(i % 2 for i in range(k)))
+        peaks[k] = _traced_peak(lambda: sim.empirical_distortion(m, policy, sim._CHUNK, 1))
+    assert peaks[256] <= 32 << 20
+    assert peaks[256] <= 1.01 * peaks[8]
 
 
 def test_empirical_distortion_rejects_bad_trials():
@@ -292,14 +332,18 @@ def test_tail_index_check_matches_a_full_sort():
 
 
 def _sequential_trials(model, policy, n_trials, seed):
-    """The trial estimator with its chunks one after another and the
-    forward model of :func:`simulate.sample_recovery` on whole chunks."""
+    """The trial estimator with its chunks one after another: per chunk the
+    source values, then per row block the forward model of
+    :func:`simulate.sample_recovery` and numpy's fusion of the block."""
     weights = an.blue_weights(an.hybrid_noise_covariance(model, policy))
     total = total_sq = 0.0
     for size, rng in sim._chunk_streams(seed, n_trials):
         theta = math.sqrt(model.sigma_theta_sq) * rng.standard_normal(size)
-        x, _ = sim.sample_recovery(theta, model, policy, rng)
-        err = x @ weights - theta
+        err = []
+        for rows in sim._row_blocks(size, model.n_nodes):
+            x, _ = sim.sample_recovery(theta[rows], model, policy, rng)
+            err.append((x * weights).sum(axis=-1) - theta[rows])
+        err = np.concatenate(err)
         sq = err * err
         total += float(sq.sum())
         total_sq += float((sq * sq).sum())
@@ -346,6 +390,19 @@ def test_trial_chunks_match_the_sequential_estimator(cpus, n_trials):
     policy = CodingPolicy((1, 0, 0, 1))
     got = sim.empirical_distortion(m, policy, n_trials, seed=n_trials)
     assert got == _sequential_trials(m, policy, n_trials, n_trials)
+
+
+@pytest.mark.parametrize("n_nodes", [9, 30])
+def test_wide_trial_chunks_match_the_sequential_estimator(cpus, n_nodes):
+    # K = 9 fuses through the node sum's 8 accumulators, K = 30 through
+    # numpy's row sum; SNRs over three decades, so the order shows
+    m = SystemModel.from_snrs(np.geomspace(0.05, 50.0, n_nodes)[::-1],
+                              np.roll(np.geomspace(0.1, 100.0, n_nodes), 2),
+                              sigma_theta_sq=1.7)
+    policy = CodingPolicy(tuple(i % 3 % 2 for i in range(n_nodes)))
+    n_trials = _CHUNK_COUNTS[1]
+    got = sim.empirical_distortion(m, policy, n_trials, seed=n_nodes)
+    assert got == _sequential_trials(m, policy, n_trials, n_nodes)
 
 
 def test_chunk_threads_are_joined_before_the_call_returns(cpus):
