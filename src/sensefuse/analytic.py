@@ -169,15 +169,9 @@ def _link_terms_of(gob: np.ndarray, gch: np.ndarray):
 def _coded_link_terms(gob, gch):
     """The coded part 1/lambda, u/lambda, u^2/lambda of :func:`link_terms`,
     elementwise.  Yielded one at a time, so a caller that reduces each term
-    as it comes (the fading Monte Carlo, on (blocks, nodes) chunks) never
-    holds all three temporaries at once, which measurably slows it.
-    :func:`_coded_distortion_rows` reduces each with :func:`_node_sum`,
-    which below ``_ROW_SUM_NODES`` nodes adds the node columns: numpy's row
-    sum would run its loop once per row of so few items (the three sums
-    took about 0.75 ms of 1.55 ms on a block of 16,384 rows of 2 nodes).
-    For the same reason the fading Monte Carlo passes ``gob`` in the
-    block's shape, as ``gch``, not as one row that ``t + gob`` and
-    ``t *= gob`` would broadcast.
+    as it comes (the fading Monte Carlo, on node-major (K, blocks) arrays
+    with ``gob`` a (K, 1) column) never holds all three temporaries at
+    once, which measurably slows it.
 
     lambda = (1 + g_ch + g_ob) g_ch / ((1 + g_ch)^2 g_ob) is built in place
     from one array ``1 + g_ch``, in the same IEEE operations as that
@@ -210,54 +204,18 @@ def _coded_inverse_term(a_sum, b_sum, c_sum):
     return a_sum - b_sum * b_sum / (1.0 + c_sum)
 
 
-# numpy's pairwise sum adds a row of up to 128 items in a fixed order: fewer
-# than 8 one after another; else item k into accumulator k % 8 up to the
-# last multiple of 8, the accumulators as ((r0 + r1) + (r2 + r3)) + ((r4 +
-# r5) + (r6 + r7)), then the rest one after another; and the row's sum is
-# added to the identity 0.0.  Below this width that order, written as
-# column adds, is the same sum bit for bit and faster than numpy's
-# reduction, which runs its loop once per row (over 32,768 items: 23
-# against 249 us at K=2, 23 against 80 us at K=8, 38 against 48 us at
-# K=16); from here numpy's reduction is as fast or faster
-_ROW_SUM_NODES = 22
-
-
-def _node_sum(x):
-    """``x.sum(axis=-1)`` bit for bit: the one reduction over the node axis
-    of the row kernels.  Below ``_ROW_SUM_NODES`` nodes it adds the columns
-    in numpy's order, as plain IEEE adds, so its value does not depend on
-    the host's SIMD dispatch."""
-    n_nodes = x.shape[-1]
-    if n_nodes >= _ROW_SUM_NODES:
-        return x.sum(axis=-1)
-    columns = [x[..., k] for k in range(n_nodes)]
-    n_lanes = n_nodes - n_nodes % 8
-    if n_lanes:
-        lanes = columns[:8]
-        for k in range(8, n_lanes):
-            lanes[k % 8] = lanes[k % 8] + columns[k]
-        columns[:n_lanes] = [((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-                             + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))]
-    # numpy adds the 0.0 last; adding it first moves only the sign of a
-    # zero on the way, and a row of -0.0 sums to +0.0 either way
-    total = columns[0] + 0.0
-    for column in columns[1:]:
-        total += column
-    return total
-
-
-def _coded_distortion_rows(gob, gch, sigma_theta_sq: float):
-    """All-coded distortion of each row of SNR arrays (nodes on the last
-    axis); each link term is reduced over the nodes by :func:`_node_sum`
-    as it comes."""
+def _coded_distortions(gob, gch, sigma_theta_sq: float):
+    """All-coded distortion of SNR arrays with the nodes on the first axis:
+    of one model (1-D arrays), or of each column of a node-major block.
+    Each link term is summed over the nodes, ``sum(axis=0)``, as it comes."""
     return sigma_theta_sq / _coded_inverse_term(
-        *(_node_sum(term) for term in _coded_link_terms(gob, gch)))
+        *(term.sum(axis=0) for term in _coded_link_terms(gob, gch)))
 
 
-def _uncoded_distortion_rows(gob, gch, sigma_theta_sq: float):
-    """Amplify-and-forward distortion of each row of SNR arrays (nodes on
-    the last axis), reduced over the nodes by :func:`_node_sum`."""
-    return sigma_theta_sq / _node_sum(1.0 / _uncoded_noise(gob, gch))
+def _uncoded_distortions(gob, gch, sigma_theta_sq: float):
+    """Amplify-and-forward distortion of SNR arrays with the nodes on the
+    first axis, as :func:`_coded_distortions`."""
+    return sigma_theta_sq / (1.0 / _uncoded_noise(gob, gch)).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +228,8 @@ def coded_hetero_distortion(model: SystemModel) -> float:
     D = sigma_theta^2 (sum 1/lambda_k
         - (sum u_k/lambda_k)^2 / (1 + sum u_k^2/lambda_k))^-1.
     """
-    return float(_coded_distortion_rows(model.gamma_ob_array(), model.gamma_ch_array(),
-                                        model.sigma_theta_sq))
+    return float(_coded_distortions(model.gamma_ob_array(), model.gamma_ch_array(),
+                                    model.sigma_theta_sq))
 
 
 def coded_homo_distortion(n_nodes: int, gamma_ob: float, gamma_ch: float,
@@ -298,8 +256,8 @@ def coded_homo_distortion_limit(gamma_ch: float, sigma_theta_sq: float = 1.0) ->
 
 def uncoded_hetero_distortion(model: SystemModel) -> float:
     """Amplify-and-forward distortion: D = sigma_theta^2 (sum_k 1/d_k)^-1."""
-    return float(_uncoded_distortion_rows(model.gamma_ob_array(), model.gamma_ch_array(),
-                                          model.sigma_theta_sq))
+    return float(_uncoded_distortions(model.gamma_ob_array(), model.gamma_ch_array(),
+                                      model.sigma_theta_sq))
 
 
 def uncoded_homo_distortion(n_nodes: int, gamma_ob: float, gamma_ch: float,

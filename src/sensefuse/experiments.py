@@ -98,6 +98,7 @@ def derive_seed(seed: int, *key) -> int:
     """Stable 64-bit sub-seed for a labeled piece of an experiment.
 
     String labels go through crc32 (process-independent, unlike hash())."""
+    _require_seed(seed)
     parts = tuple(k if isinstance(k, (int, np.integer))
                   else zlib.crc32(str(k).encode("utf-8")) for k in key)
     digest = np.random.SeedSequence(entropy=(int(seed),) + parts)

@@ -10,8 +10,9 @@ Everything here is immutable and purely functional; instances can be
 shared freely across threads.
 
 The input rules are written here once: :func:`validate` checks models, and
-the scalar entry points check counts with :func:`_require_count` and SNRs,
-powers and fading means with :func:`_require_all_positive_finite`.
+the scalar entry points check counts with :func:`_require_count`, seeds
+with :func:`_require_seed`, and SNRs, powers and fading means with
+:func:`_require_all_positive_finite`.
 """
 
 from __future__ import annotations
@@ -41,24 +42,20 @@ def _require_all_positive_finite(**values: float) -> None:
         _require_positive_finite(value, what)
 
 
-def _require_count(value: float, what: str, minimum: int = 1) -> None:
-    """Reject a count below ``minimum``, NaN or infinity."""
+def _require_count(value: int, what: str, minimum: int = 1) -> None:
+    """Reject a count below ``minimum``, NaN or infinity, or one that is not
+    an integer."""
     if not minimum <= value < math.inf:
         raise ValidationError(f"{what} must be >= {minimum}, got {value}")
-
-
-def _require_node_count(n_nodes: int) -> None:
-    """:func:`_require_count` of a model's or policy's node count, which must
-    also be an integer."""
-    _require_count(n_nodes, "node count")
-    if not isinstance(n_nodes, numbers.Integral):
-        raise ValidationError(f"node count must be an integer, got {n_nodes!r}")
+    if not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
 def _require_seed(seed: int) -> None:
-    """Reject a seed numpy's SeedSequence cannot take."""
-    if seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+    """Reject a seed numpy's SeedSequence cannot take: a negative number or
+    one that is not an integer."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -112,7 +109,7 @@ class SystemModel:
     def homogeneous(cls, n_nodes: int, gamma_ob: float, gamma_ch: float,
                     sigma_theta_sq: float = 1.0, bandwidth: float = 1.0) -> "SystemModel":
         """K identical nodes and channels."""
-        _require_node_count(n_nodes)
+        _require_count(n_nodes, "node count")
         links = tuple(SensorLink(gamma_ob, gamma_ch) for _ in range(n_nodes))
         return cls(sigma_theta_sq, links, bandwidth)
 
@@ -156,12 +153,12 @@ class CodingPolicy:
 
     @classmethod
     def all_coded(cls, n_nodes: int) -> "CodingPolicy":
-        _require_node_count(n_nodes)
+        _require_count(n_nodes, "node count")
         return cls((1,) * n_nodes)
 
     @classmethod
     def all_uncoded(cls, n_nodes: int) -> "CodingPolicy":
-        _require_node_count(n_nodes)
+        _require_count(n_nodes, "node count")
         return cls((0,) * n_nodes)
 
     @classmethod

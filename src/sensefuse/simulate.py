@@ -28,26 +28,27 @@ chunk no helper has started.  The estimators combine the per-chunk results
 in chunk order, so every result is bit-identical to running the chunks
 one after another.  The helpers live for one call only.
 
-Within a chunk the array math runs on blocks of rows of about
-``_BLOCK_ITEMS`` items (:func:`_row_blocks`), so a chunk in flight holds
-one float per trial or fading block and a few block-sized arrays, however
-many nodes the model has.  A trial chunk draws its source values first;
-then, block after block, it draws the observation noise, then the route
-noise (:func:`sample_recovery` draws in the same order), and fuses the
-block into the chunk's error vector.  A traced 65,536-trial call peaks at
-2.8 MiB at K = 8, 64 and 256 alike.  A row of per-node coefficients or
-SNRs enters the blocks in the block's shape (:func:`_block_shaped`):
-broadcast as one row, it would make numpy run its loop once per row.
+Within a chunk the array math runs on blocks of about ``_BLOCK_ITEMS``
+items (:func:`_row_blocks`), laid out node-major: a block of n trials or
+fading blocks is a C-contiguous (K, n) array, one row per node, so a
+per-node coefficient or SNR is a (K, 1) column and numpy runs each loop
+once per node, over n items.  A chunk in flight holds one float per trial
+or fading block and a few block-sized arrays, however many nodes the
+model has.  A trial chunk draws its source values first; then, block
+after block, it draws the observation noise node after node, then the
+route noise (:func:`sample_recovery` draws in the same order), and fuses
+the block into the chunk's error vector.  A fading block draws its power
+gains as ``nu`` times numpy's ziggurat ``standard_exponential``, so no
+SIMD-dispatched transcendental enters the draws.
 
-The sums over the nodes of a block (the fusion x.w and each per-node term
-of the fading distortions) go through ``analytic._node_sum``.  Below 22
-nodes it adds the node columns in numpy's own pairwise order, as plain
-IEEE adds: that equals numpy's row sum bit for bit, gives the same bits on
-every host, and is faster, as numpy's reduction runs its loop once per row
-(over 32,768 items: 23 against 249 us at K=2 and against 80 us at K=8).
-From 22 nodes on it is numpy's row sum.  No BLAS product enters the chain;
-the fusion weights come from the LAPACK Cholesky solve of
-``analytic.blue_weights``, whose last bits depend on the BLAS kernel.
+Every sum over the nodes (the fusion x.w and each per-node term of the
+fading distortions) is numpy's ``sum(axis=0)``.  On a block of two or
+more columns it adds the node rows to 0.0 one after another, in node
+order, as plain IEEE adds; a one-column block, like the closed forms' 1-D
+arrays, gets numpy's pairwise sum, which is the same as node order below
+8 nodes.  Neither depends on the host's SIMD dispatch.  No BLAS product
+enters the chain; the fusion weights come from the LAPACK Cholesky solve
+of ``analytic.blue_weights``, whose last bits depend on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -86,10 +87,9 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16
-# items of a chunk's arrays taken at once by the row-wise steps (256 KiB of
-# floats): successive draws continue one stream and each row's result
-# depends on that row only, so the values equal those of the whole chunk
-# at once, with temporaries that stay small and in cache
+# floats of one node-major block of a chunk (256 KiB), so its temporaries
+# stay small and in cache; a block's draws fill it node after node, so the
+# block size is part of the stream layout and moves every Monte Carlo pin
 _BLOCK_ITEMS = 1 << 15
 # Hill tail-index threshold: a sample mean converges only when the tail
 # index exceeds 1; the divergent fading case sits exactly at 1 while every
@@ -130,23 +130,27 @@ def _chunk_streams(seed: int, n_items: int) -> list:
             for i, child in enumerate(children)]
 
 
-def _block_rows(n_cols: int) -> int:
-    return max(1, _BLOCK_ITEMS // n_cols)
+def _block_rows(n_nodes: int) -> int:
+    return max(1, _BLOCK_ITEMS // n_nodes)
 
 
-def _row_blocks(n_rows: int, n_cols: int):
-    """Slices of consecutive rows, about ``_BLOCK_ITEMS`` items each."""
-    step = _block_rows(n_cols)
-    return (slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step))
+def _row_blocks(n_items: int, n_nodes: int):
+    """Slices of consecutive items (trials or fading blocks), each of about
+    ``_BLOCK_ITEMS`` floats once laid out node-major as (n_nodes, items)."""
+    step = _block_rows(n_nodes)
+    return (slice(start, min(start + step, n_items)) for start in range(0, n_items, step))
 
 
-def _block_shaped(row: np.ndarray, n_rows: int) -> np.ndarray:
-    """``row`` repeated down the largest of the :func:`_row_blocks` of an
-    ``n_rows``-row array, for its blocks to slice.  numpy runs its loop
-    once per row when a (rows, K) array meets a (K,) operand, but once per
-    block when both have the block's shape: 10 against 113 us for a
-    product over 16,384 rows of 2 nodes."""
-    return np.tile(row, (min(n_rows, _block_rows(len(row))), 1))
+def _node_major_blocks(n_items: int, n_nodes: int, n_arrays: int):
+    """``(items, arrays)`` for each slice of :func:`_row_blocks`:
+    ``n_arrays`` C-contiguous (n_nodes, n) arrays for its n items, cut from
+    one buffer that every block reuses.  Arrays made afresh per block would
+    be handed back to the system at each block's end and paged in again at
+    the next one: with glibc that doubled a fading call at K = 8 and 30."""
+    buffer = np.empty(n_arrays * n_nodes * min(n_items, _block_rows(n_nodes)))
+    for items in _row_blocks(n_items, n_nodes):
+        size = n_arrays * n_nodes * (items.stop - items.start)
+        yield items, buffer[:size].reshape(n_arrays, n_nodes, -1)
 
 
 def _available_cpus() -> int:
@@ -246,6 +250,7 @@ def generate_instance(n_nodes: int, ch_spec: FoldedNormalSpec,
     """Random heterogeneous system: channel and observation SNRs drawn from
     calibrated folded normal distributions (all draws strictly positive)."""
     _require_count(n_nodes, "node count")
+    _require_seed(seed)
     rng = _philox(np.random.SeedSequence(seed))
     gch = np.abs(ch_spec.location + ch_spec.std_dev * rng.standard_normal(n_nodes))
     gob = np.abs(ob_spec.location + ob_spec.std_dev * rng.standard_normal(n_nodes))
@@ -256,15 +261,14 @@ def generate_instance(n_nodes: int, ch_spec: FoldedNormalSpec,
 # forward model
 # ---------------------------------------------------------------------------
 
-def _recovery_step(model: SystemModel, policy: CodingPolicy, n_rows: int):
-    """The forward model of a block of rows: ``recover(theta, obs, x, rng)``
-    draws the observation noise of the source values ``theta`` into
-    ``obs``, then their route noise into ``x``, and forms both in place
-    (``obs`` and ``x`` are C-contiguous, ``(len(theta), K)``).
+def _recovery_step(model: SystemModel, policy: CodingPolicy):
+    """The forward model of a node-major block: ``recover(theta, obs, x,
+    rng)`` draws the observation noise of the source values ``theta`` into
+    ``obs``, node after node, then their route noise into ``x``, and forms
+    both in place (``obs`` and ``x`` are C-contiguous, ``(K, len(theta))``).
 
     The coefficients sigma_ob, gain and noise scale are formed once, here,
-    block-shaped (:func:`_block_shaped`) for the row blocks of an
-    ``n_rows``-row array.
+    as (K, 1) columns.
     """
     st = model.sigma_theta_sq
     gch = model.gamma_ch_array()
@@ -272,21 +276,20 @@ def _recovery_step(model: SystemModel, policy: CodingPolicy, n_rows: int):
     s2 = st + sigma_ob_sq
     beta = sigma_qu_sq / s2
     coded = np.array(check_policy(model, policy).rho, dtype=bool)
-    sigma_ob = _block_shaped(np.sqrt(sigma_ob_sq), n_rows)
-    gain = _block_shaped(np.where(coded, 1.0 - beta, 1.0), n_rows)
-    noise_scale = _block_shaped(
-        np.where(coded, np.sqrt(sigma_qu_sq * (1.0 - beta)), np.sqrt(s2 / gch)), n_rows)
+    sigma_ob = np.sqrt(sigma_ob_sq)[:, None]
+    gain = np.where(coded, 1.0 - beta, 1.0)[:, None]
+    noise_scale = np.where(coded, np.sqrt(sigma_qu_sq * (1.0 - beta)),
+                           np.sqrt(s2 / gch))[:, None]
 
     def recover(theta, obs, x, rng):
         # scaled in place; IEEE sums and products commute, so the values
         # are those of theta + sigma_ob * n and gain * obs + noise_scale * z
-        n = len(theta)
         rng.standard_normal(out=obs)
-        obs *= sigma_ob[:n]
-        obs += theta[:, None]
+        obs *= sigma_ob
+        obs += theta
         rng.standard_normal(out=x)
-        x *= noise_scale[:n]
-        x += gain[:n] * obs
+        x *= noise_scale
+        x += gain * obs
 
     return recover
 
@@ -298,19 +301,20 @@ def sample_recovery(theta, model: SystemModel, policy: CodingPolicy,
     Returns ``(x, obs)`` with nodes on the last axis, ``obs`` being the
     noisy observations.  Coded nodes go through the test channel and
     uncoded nodes through the de-gained amplify-and-forward route (see the
-    module docstring).  The source values, flattened, are taken in row
-    blocks of about ``_BLOCK_ITEMS`` draws (:func:`_row_blocks`): each
-    block's observation noise is drawn, then its route noise, then the
-    next block's.
+    module docstring).  The source values, flattened, are taken in the
+    node-major blocks of the estimators (:func:`_row_blocks`): each block's
+    observation noise is drawn node after node, then its route noise, then
+    the next block's.
     """
     theta = np.asarray(theta, dtype=float)
     flat = theta.reshape(-1)
-    shape = (flat.size, model.n_nodes)
-    recover = _recovery_step(model, policy, flat.size)
-    x, obs = np.empty(shape), np.empty(shape)
-    for rows in _row_blocks(*shape):
-        recover(flat[rows], obs[rows], x[rows], rng)
-    shape = theta.shape + (model.n_nodes,)
+    n_nodes = model.n_nodes
+    recover = _recovery_step(model, policy)
+    x, obs = np.empty((flat.size, n_nodes)), np.empty((flat.size, n_nodes))
+    for items, (block_obs, block_x) in _node_major_blocks(flat.size, n_nodes, 2):
+        recover(flat[items], block_obs, block_x, rng)
+        x[items], obs[items] = block_x.T, block_obs.T
+    shape = theta.shape + (n_nodes,)
     return x.reshape(shape), obs.reshape(shape)
 
 
@@ -334,8 +338,8 @@ def empirical_distortion(model: SystemModel, policy: CodingPolicy,
     Per trial: draw theta, form each node's recovery with the forward
     model of :func:`sample_recovery`, fuse with the weights of the hybrid
     block covariance, and take the squared error.  A chunk draws all its
-    theta first, then recovers and fuses one row block at a time, so it
-    holds its theta, its errors and a few block-sized arrays, not a
+    theta first, then recovers and fuses one node-major block at a time,
+    so it holds its theta, its errors and a few block-sized arrays, not a
     recovery per node and trial.  The chunks of trials run in parallel
     (:func:`_map_chunks`); their sums of squared errors and of their
     squares are added in chunk order, so the result is the same bit for
@@ -345,23 +349,20 @@ def empirical_distortion(model: SystemModel, policy: CodingPolicy,
     # Cholesky weights, not the closed form's a - t b: that shares its
     # cancellation (gamma_ob 1e-150,5,3, gamma_ch 5,1e-100,3, policy 110:
     # exact D 0.4375, closed form 0.778, estimates 0.438 here, 0.772 by a - t b)
-    weights = _block_shaped(
-        analytic.blue_weights(analytic.hybrid_noise_covariance(model, policy)), n_trials)
-    recover = _recovery_step(model, policy, n_trials)
+    weights = analytic.blue_weights(
+        analytic.hybrid_noise_covariance(model, policy))[:, None]
+    recover = _recovery_step(model, policy)
     scale = math.sqrt(model.sigma_theta_sq)
 
     def chunk_sums(size, rng):
         theta = rng.standard_normal(size)
         theta *= scale
-        obs, x = np.empty(weights.shape), np.empty(weights.shape)
         sq = np.empty(size)
-        for rows in _row_blocks(size, model.n_nodes):
-            n = rows.stop - rows.start
-            x_rows = x[:n]
-            recover(theta[rows], obs[:n], x_rows, rng)
-            # the fused error x.w - theta, summed by the node sum, not by BLAS
-            x_rows *= weights[:n]
-            np.subtract(analytic._node_sum(x_rows), theta[rows], out=sq[rows])
+        for items, (obs, x) in _node_major_blocks(size, model.n_nodes, 2):
+            recover(theta[items], obs, x, rng)
+            # the fused error x.w - theta, summed over the node rows, not by BLAS
+            x *= weights
+            np.subtract(x.sum(axis=0), theta[items], out=sq[items])
         # the squared error and its square in place
         sq *= sq
         total = float(sq.sum())
@@ -379,9 +380,9 @@ def empirical_distortion(model: SystemModel, policy: CodingPolicy,
 def fading_empirical_distortion(model: SystemModel, nu: float, n_blocks: int,
                                 seed: int, scheme: str = "coded",
                                 shared_gain: bool = False) -> TrialBatchStats:
-    """Block Rayleigh fading: per block draw exponential power gains
-    (inverse-CDF transform, mean nu), scale the channel SNRs, evaluate the
-    instantaneous analytic distortion, and average.
+    """Block Rayleigh fading: per block draw exponential power gains (mean
+    nu), scale the channel SNRs, evaluate the instantaneous analytic
+    distortion, and average.
 
     By default each node fades independently per block, which is the model
     behind the heterogeneous fading curves.  ``shared_gain`` applies one
@@ -390,9 +391,13 @@ def fading_empirical_distortion(model: SystemModel, nu: float, n_blocks: int,
     homogeneous instantaneous distortion presumes a system-wide channel
     SNR), so only the shared mode reproduces it for K > 1.
 
-    The chunks of blocks run in parallel (:func:`_map_chunks`) and their
-    per-block distortions are joined in chunk order, so the result is the
-    same bit for bit on any number of cores.  The uncoded scheme has no
+    A chunk takes its blocks node-major (see the module docstring): per
+    slice of :func:`_row_blocks` it draws ``nu`` times numpy's
+    ``standard_exponential``, one gain per node and block (node after node)
+    or one per block, and multiplies the (K, 1) column of channel SNRs by
+    them.  The chunks of blocks run in parallel (:func:`_map_chunks`) and
+    their per-block distortions are joined in chunk order, so the result is
+    the same bit for bit on any number of cores.  The uncoded scheme has no
     finite average (instantaneous distortion scales like 1/h near h = 0),
     which the ``converged`` flag reports.
     """
@@ -401,33 +406,24 @@ def fading_empirical_distortion(model: SystemModel, nu: float, n_blocks: int,
         raise ValidationError(f"unknown scheme {scheme!r}")
     _require_count(n_blocks, "n_blocks")
     n_nodes = model.n_nodes
-    gob = _block_shaped(model.gamma_ob_array(), n_blocks)
-    gch = _block_shaped(model.gamma_ch_array(), n_blocks)
-    instant = (analytic._coded_distortion_rows if scheme == "coded"
-               else analytic._uncoded_distortion_rows)
+    gob = model.gamma_ob_array()[:, None]
+    gch = model.gamma_ch_array()[:, None]
+    instant = (analytic._coded_distortions if scheme == "coded"
+               else analytic._uncoded_distortions)
 
     def chunk_values(size, rng):
         values = np.empty(size)
-        for rows in _row_blocks(size, n_nodes):
-            n = rows.stop - rows.start
-            # one row of faded channel SNRs per block, formed in place as
-            # -nu * log1p(-u) * gch
-            h = rng.random((n, 1 if shared_gain else n_nodes))
-            np.negative(h, out=h)
-            np.log1p(h, out=h)
-            h *= -nu
+        for items, (h,) in _node_major_blocks(size, n_nodes, 1):
+            # the faded channel SNRs nu * e * gch, formed in place
             if shared_gain:
-                # one product per node column: the (rows, 1) gains times
-                # the SNRs would run numpy's loop once per row (98,304
-                # blocks on 1 CPU: 11.8 against 21.3 ms at K=8, 122 against
-                # 214 ms at K=100)
-                faded = np.empty((n, n_nodes))
-                for k in range(n_nodes):
-                    np.multiply(h[:, 0], gch[0, k], out=faded[:, k])
-                h = faded
+                e = rng.standard_exponential(items.stop - items.start)
+                e *= nu
+                np.multiply(e, gch, out=h)
             else:
-                h *= gch[:n]
-            values[rows] = instant(gob[:n], h, model.sigma_theta_sq)
+                rng.standard_exponential(out=h)
+                h *= nu
+                h *= gch
+            values[items] = instant(gob, h, model.sigma_theta_sq)
         return values
 
     values = np.concatenate(_map_chunks(chunk_values, seed, n_blocks))

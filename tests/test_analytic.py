@@ -262,44 +262,6 @@ def test_hybrid_length_mismatch():
         an.hybrid_distortion(m, CodingPolicy((1, 0)))
 
 
-def _same_bits(got, want) -> bool:
-    got, want = np.asarray(got), np.asarray(want)
-    return (got.shape == want.shape and got.dtype == want.dtype
-            and np.array_equal(got.view(np.int64), want.view(np.int64)))
-
-
-@pytest.mark.parametrize("n_nodes", [*range(1, 21), 64, 129])
-@pytest.mark.parametrize("n_rows", [0, 1, 16_384])
-@pytest.mark.parametrize("decades", [300, 1])
-def test_node_sum_is_numpys_row_sum_bit_for_bit(n_nodes, n_rows, decades):
-    # the row kernels' column adds below 8 nodes rest on numpy's pairwise
-    # sum adding so few items one after another from 0.0; a numpy that
-    # changes that order fails here.  Narrow spreads make the order show
-    # in the last bits, wide ones mix magnitudes and signs
-    rng = np.random.default_rng(n_nodes * 1000 + n_rows + decades)
-    shape = (n_rows, n_nodes)
-    x = 10.0 ** rng.uniform(-decades, decades, shape) * rng.choice([-1.0, 1.0], shape)
-    if n_rows:
-        x[0] = -0.0
-    assert _same_bits(an._node_sum(x), x.sum(axis=-1))
-    one_model = 10.0 ** rng.uniform(-decades, decades, n_nodes)
-    got = an._node_sum(one_model)
-    assert type(got) is np.float64
-    assert _same_bits(got, one_model.sum(axis=-1))
-
-
-@pytest.mark.parametrize("n_nodes", range(21, 33))
-def test_node_sum_matches_numpy_across_its_switch_to_the_row_sum(n_nodes):
-    # the column adds run below analytic._ROW_SUM_NODES = 22 nodes, numpy's
-    # row sum from there; both must give numpy's bits on either side
-    rng = np.random.default_rng(n_nodes)
-    for decades in (300, 1):
-        shape = (4096, n_nodes)
-        x = 10.0 ** rng.uniform(-decades, decades, shape) * rng.choice([-1.0, 1.0], shape)
-        x[0] = -0.0
-        assert _same_bits(an._node_sum(x), x.sum(axis=-1))
-
-
 # ---------------------------------------------------------------------------
 # Sherman-Morrison identity
 # ---------------------------------------------------------------------------

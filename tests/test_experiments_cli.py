@@ -276,8 +276,8 @@ def test_cli_validate_json_pinned(tmp_path):
     assert rc == 0
     assert out.read_bytes() == (
         b'{\n  "policy": "1010",\n  "analytic": 0.13018387622954872,\n'
-        b'  "empirical": 0.1295525946554402,\n  "std_error": 0.0006967424876548767,\n'
-        b'  "n_trials": 70000,\n  "seed": 2718,\n  "z_score": -0.9060471914570825,\n'
+        b'  "empirical": 0.13043807477312916,\n  "std_error": 0.0006948648135853281,\n'
+        b'  "n_trials": 70000,\n  "seed": 2718,\n  "z_score": 0.3658244576651406,\n'
         b'  "within_3_sigma": true\n}\n')
 
 
@@ -291,14 +291,14 @@ def test_cli_validate_json_pinned_at_eight_nodes(tmp_path):
     assert rc == 0
     assert out.read_bytes() == (
         b'{\n  "policy": "10110010",\n  "analytic": 0.0696396407819017,\n'
-        b'  "empirical": 0.0691834466269153,\n  "std_error": 0.00031417855341191316,\n'
-        b'  "n_trials": 98304,\n  "seed": 31,\n  "z_score": -1.4520219474952472,\n'
+        b'  "empirical": 0.06964436292276092,\n  "std_error": 0.000311901637882753,\n'
+        b'  "n_trials": 98304,\n  "seed": 31,\n  "z_score": 0.015139839890808245,\n'
         b'  "within_3_sigma": true\n}\n')
 
 
 @pytest.mark.parametrize("fmt, digest", [
-    ("csv", "ffc90a9590de4451b753596af86f4b6cdf7746bd966133794ff18356cb71104f"),
-    ("json", "67e4b2d8949cae5fc446a3254160213eaab58b6717f9774f5204ec0b47647937"),
+    ("csv", "e1990d252d10e02af2e8629714dae622a998ccd23121e7336d1c8d2bb8980bc3"),
+    ("json", "06b88c316afc89432cebc24158b02dd325fdea7f7899342259340f03138ce130"),
 ], ids=["csv", "json"])
 def test_cli_fig5_fading_pinned(tmp_path, fmt, digest):
     # K = 1..30, each Monte Carlo call over three Philox chunks (the last
@@ -379,6 +379,8 @@ def test_cli_error_paths(tmp_path, capsys):
     (["validate", "--k", "2", "--gamma-ob", "1", "--gamma-ch", "1",
       "--policy", "11", "--trials", "100", "--seed", "-1"], "seed"),
     (["run", "{spec}", "--seed", "-1"], "seed"),
+    (["solve", "--k", "3", "--gamma-ob", "1,2", "--gamma-ch", "5"],
+     "--k 3 does not match SNR list lengths 2/3"),
 ])
 def test_cli_bad_input_gives_one_line_error(tmp_path, capsys, argv, needle):
     spec = tmp_path / "empty.spec"
@@ -464,6 +466,13 @@ def test_cli_greedy_studies_check_k_before_drawing(tmp_path, capsys, monkeypatch
     assert rc == 1
     assert drawn == []
     assert not out.exists()
+
+
+def test_run_experiment_rejects_unknown_format(tmp_path):
+    spec = ex.ExperimentSpec("fig3_d_vs_k", {}, str(tmp_path / "rows.xml"))
+    with pytest.raises(ValidationError, match="unknown format 'xml'"):
+        ex.run_experiment(spec, seed=0, fmt="xml")
+    assert not (tmp_path / "rows.xml").exists()
 
 
 def test_write_rows_csv_refuses_empty_table(tmp_path):

@@ -124,13 +124,14 @@ def _last_axis_sums(tree) -> set[str]:
     return found
 
 
-def test_only_the_node_sum_reduces_over_the_node_axis():
-    # analytic._node_sum picks column adds or numpy's row sum by width; a
-    # row kernel that sums its nodes by itself would bypass that choice
+def test_analytic_and_simulate_reduce_no_last_axis():
+    # the Monte Carlo blocks and the closed forms hold the nodes on the
+    # first axis and sum them with sum(axis=0); a reduction over the last
+    # axis would be a per-row loop or a sum in another order
     found = {f"{name}.{where}" for name in ("analytic", "simulate")
              for where in _last_axis_sums(
                  ast.parse((PACKAGE_DIR / f"{name}.py").read_text(encoding="utf-8")))}
-    assert found == {"analytic._node_sum"}
+    assert found == set()
 
 
 _BLAS_PRODUCTS = {"dot", "vdot", "matmul", "einsum", "inner", "tensordot"}
@@ -138,7 +139,7 @@ _BLAS_PRODUCTS = {"dot", "vdot", "matmul", "einsum", "inner", "tensordot"}
 
 def test_the_monte_carlo_calls_no_blas_product():
     # a BLAS product rounds in the order of the host's kernel; the trial
-    # fusion x.w is a node sum (analytic._node_sum) instead
+    # fusion x.w is a sum over the node rows instead
     tree = ast.parse((PACKAGE_DIR / "simulate.py").read_text(encoding="utf-8"))
     found = [ast.unparse(node) for node in ast.walk(tree)
              if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)

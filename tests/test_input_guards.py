@@ -65,11 +65,22 @@ GUARDED = [
      ["k", "n_sim"]),
 ]
 
-# a model or policy holds a whole number of nodes
-_NODE_COUNTS = {SystemModel.homogeneous, CodingPolicy.all_coded, CodingPolicy.all_uncoded}
+# a count must also be a whole number; total_power_distortions alone takes
+# a continuous node count
+_COUNTS = {"n_nodes", "k", "n_trials", "n_blocks", "n_sim", "group_size"}
+
+
+def _bad_values(fn, name):
+    whole = name in _COUNTS and fn is not an.total_power_distortions
+    return BAD_VALUES + [2.5] * whole
+
 
 _CASES = [(fn, kwargs, name, bad) for fn, kwargs, names in GUARDED
-          for name in names for bad in BAD_VALUES + [2.5] * (fn in _NODE_COUNTS)]
+          for name in names for bad in _bad_values(fn, name)]
+
+# every entry point that takes a seed
+_SEEDED = ([(fn, kwargs) for fn, kwargs, _ in GUARDED if "seed" in kwargs]
+           + [(ex.derive_seed, dict(seed=0))])
 
 
 @pytest.mark.parametrize("fn, kwargs", [(fn, kwargs) for fn, kwargs, _ in GUARDED],
@@ -86,6 +97,13 @@ def test_bad_scalar_argument_raises_validation_error(fn, kwargs, name, bad):
         fn(**dict(kwargs, **{name: bad}))
 
 
+@pytest.mark.parametrize("bad", [-1, 2.5, math.nan])
+@pytest.mark.parametrize("fn, kwargs", _SEEDED, ids=[fn.__name__ for fn, _ in _SEEDED])
+def test_bad_seed_raises_validation_error(fn, kwargs, bad):
+    with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+        fn(**dict(kwargs, seed=bad))
+
+
 def test_snr_from_db_rejects_nan():
     with pytest.raises(ValidationError, match="out of range"):
         snr_from_db(math.nan)
@@ -96,6 +114,9 @@ def test_snr_from_db_rejects_nan():
     (lambda: SystemModel.homogeneous(0, 7.0, 5.0), "node count must be >= 1, got 0"),
     (lambda: CodingPolicy.all_coded(math.nan), "node count must be >= 1, got nan"),
     (lambda: CodingPolicy.all_uncoded(2.5), "node count must be an integer, got 2.5"),
+    (lambda: sim.empirical_distortion(_MODEL, CodingPolicy((1, 1)), 1e5, 0),
+     "n_trials must be an integer, got 100000.0"),
+    (lambda: op.group_greedy(_MODEL, 2.5), "group size must be an integer, got 2.5"),
     (lambda: an.gamma_ob_star(2), "node count must be >= 3, got 2"),
     (lambda: sim.empirical_distortion(_MODEL, CodingPolicy((1, 1)), 1, 0),
      "n_trials must be >= 2, got 1"),
@@ -104,6 +125,13 @@ def test_snr_from_db_rejects_nan():
     (lambda: an.total_power_distortions(-1, 7.0, 5.0), "nonpositive n_nodes: -1"),
     (lambda: sim.fading_empirical_distortion(_MODEL, math.inf, 100, 0),
      "fading mean is infinite"),
+    (lambda: sim.fading_empirical_distortion(_MODEL, 0.9, 100, 0, scheme="analog"),
+     "unknown scheme 'analog'"),
+    (lambda: an.limiting_distortion("coded", "finite", "finite", 3, None, 5.0),
+     "finite observation regime requires gamma_ob"),
+    (lambda: op.policy_error_rate([], []), "empty policy batch"),
+    (lambda: op.policy_error_rate([(1, 0), (1,)], [(1, 0), (0, 1)]),
+     "policies in one batch must share a length"),
 ])
 def test_guard_messages_name_the_argument(call, message):
     with pytest.raises(ValidationError) as exc:
